@@ -9,7 +9,7 @@
 // fires on the submission worker thread after the ticket is fulfilled, for
 // callers that prefer push over pull.
 //
-// Admission semantics live HERE, once, for all three services: the first
+// Admission semantics live HERE, once, for every deployment: the first
 // request's RequestContext is the batch's queue envelope. A batch with no
 // QoS envelope keeps the original blocking-backpressure submission; a batch
 // with one never blocks — if admission sheds it (deadline expired at submit

@@ -35,8 +35,8 @@ struct SolverInput {
   const Dtlp* dtlp = nullptr;
   /// Where the KSP-DG refine step computes boundary-pair partial paths.
   /// nullptr (the default) means inline on the calling thread
-  /// (LocalPartialProvider); a sharded or distributed deployment injects a
-  /// provider that ships the request to the owning shard/worker instead.
+  /// (LocalPartialProvider); the service injects its provider, which ships
+  /// each request to the shard owning the subgraph.
   /// Ignored by backends that do not use the DTLP. Must stay valid for the
   /// duration of Solve().
   PartialProvider* partials = nullptr;
@@ -53,10 +53,10 @@ struct SolverInput {
 /// Opaque per-worker scratch state for a solver backend. The service keeps
 /// one scratch per (worker, backend) pair in an arena that outlives any
 /// single batch and hands it back on every Solve call that worker makes, so
-/// per-query allocations — Yen's ban buffers, KSP-DG partial-path caches —
-/// are pooled instead of rebuilt per request. A scratch is never used by
-/// two threads at once. Weight-dependent cached state is dropped through
-/// OnSnapshotChange() whenever the epoch moved since the arena's last use.
+/// per-query allocations — Yen's ban buffers — are pooled instead of
+/// rebuilt per request. A scratch is never used by two threads at once.
+/// Weight-dependent cached state is dropped through OnSnapshotChange()
+/// whenever the epoch moved since the arena's last use.
 class SolverScratch {
  public:
   virtual ~SolverScratch() = default;
@@ -79,13 +79,6 @@ class KspSolver {
   /// this backend keeps no reusable state.
   virtual std::unique_ptr<SolverScratch> NewScratch() const { return nullptr; }
 
-  /// True when Solve routes boundary-pair partial computations through
-  /// SolverInput::partials (the KSP-DG refine step). A sharded service uses
-  /// this to substitute its own per-shard partial caching for the backend's
-  /// merged scratch cache, so cached state lives with the shard that owns
-  /// it and flushes on that shard's epoch bump.
-  virtual bool UsesPartialProvider() const { return false; }
-
   /// Computes up to options.k shortest loopless paths source -> target.
   /// Returning fewer (or zero) paths is not an error; Status is reserved for
   /// requests the backend cannot serve (e.g. unsupported k). `scratch` is
@@ -96,8 +89,8 @@ class KspSolver {
 };
 
 /// Lazily populated solver scratch, one slot per backend — the per-worker
-/// arena both service front-ends keep warm across batches (see SolverScratch
-/// for the reuse contract). A handful of backends at most: linear scan beats
+/// arena the service keeps warm across batches (see SolverScratch for the
+/// reuse contract). A handful of backends at most: linear scan beats
 /// hashing. Not thread-safe; each pool worker owns one arena.
 struct SolverScratchArena {
   std::vector<std::pair<const KspSolver*, std::unique_ptr<SolverScratch>>>
@@ -135,34 +128,30 @@ struct PreparedRoute {
   const KspSolver* solver = nullptr;
 };
 
-/// Shared request preparation for every service front-end (unsharded and
-/// sharded): merges `defaults` with the request's overrides, applies the
-/// kind's semantics (kShortestPath forces k = 1 and defaults to the "cands"
-/// backend; kDiverseKsp over-fetches k' = k * overfetch), validates the
-/// result, resolves the backend in `registry`, and range-checks the
-/// endpoints against `graph`. Every front-end must route through this one
-/// function so they all reject the same requests with the same status
-/// codes.
+/// Request preparation for every deployment of the service: merges
+/// `defaults` with the request's overrides, applies the kind's semantics
+/// (kShortestPath forces k = 1 and defaults to the "cands" backend;
+/// kDiverseKsp over-fetches k' = k * overfetch), validates the result,
+/// resolves the backend in `registry`, and range-checks the endpoints
+/// against `graph`.
 Status PrepareRoutingQuery(const SolverRegistry& registry,
                            const RoutingOptions& defaults, const Graph& graph,
                            const RouteRequest& request, PreparedRoute* out);
 
-/// Builds the CANDS baseline index a service front-end owns when its
-/// enable_cands option is set: the partition/build-thread knobs are derived
-/// from the DTLP options in ONE place, so the sharded and unsharded
-/// services build identical indexes by construction (the shard-parity
-/// guarantee for the "cands" backend depends on it).
+/// Builds the CANDS baseline index the service owns when its enable_cands
+/// option is set: the partition/build-thread knobs are derived from the
+/// DTLP options in ONE place.
 Result<std::unique_ptr<CandsIndex>> BuildCandsIndex(const Graph& graph,
                                                     const DtlpOptions& dtlp);
 
-/// Shared response shaping for every service front-end: turns a solver
-/// result into the kind-tagged payload. For kDiverseKsp this runs the §4
-/// diversity pipeline (per-query EP-Index + MFP compaction + MinHash/LSH
-/// filter, src/mfp/diversity.h) over the k' candidates — a pure function of
-/// the candidate list, so sharded answers stay byte-identical to unsharded
-/// ones. `options` is the merged options the solve ran with (moved into the
-/// response; passed explicitly because batch workers move it through
-/// SolverInput first); the caller stamps epoch and solve_micros afterwards.
+/// Response shaping: turns a solver result into the kind-tagged payload.
+/// For kDiverseKsp this runs the §4 diversity pipeline (per-query EP-Index
+/// + MFP compaction + MinHash/LSH filter, src/mfp/diversity.h) over the k'
+/// candidates — a pure function of the candidate list, so answers stay
+/// byte-identical across deployments. `options` is the merged options the
+/// solve ran with (moved into the response; passed explicitly because the
+/// solve moves it through SolverInput first); the caller stamps epoch and
+/// solve_micros afterwards.
 RouteResponse FinishRouteResponse(QueryKind kind, uint32_t requested_k,
                                   RoutingOptions options, bool directed,
                                   KspQueryResult solved);

@@ -75,8 +75,8 @@ struct RoutingOptions {
   /// parameters of the per-query §4 pipeline. Ignored by the other kinds.
   DiversityOptions diversity;
   /// Distinct boundary pairs each per-(shard, worker) partial cache may
-  /// memoise between flushes (sharded/remote batch path only; 0 disables
-  /// the caches entirely). Past the cap, requests still compute but stop
+  /// memoise between flushes (QueryBatch path only; 0 disables the caches
+  /// entirely). Past the cap, requests still compute but stop
   /// caching — correctness never depends on a hit. A service-level sizing
   /// knob: read from the service defaults, not overridable per request.
   size_t partial_cache_pairs = 4096;
@@ -128,11 +128,6 @@ struct RouteRequest {
   RequestContext context;
 };
 
-/// Compatibility shim for the pre-multi-kind surface: a KspRequest IS a
-/// RouteRequest whose kind defaults to kKsp. Scheduled for removal; every
-/// in-tree call site now uses RouteRequest.
-using KspRequest [[deprecated("use RouteRequest")]] = RouteRequest;
-
 /// Per-query measurements, filled by every backend.
 struct QueryStats {
   /// Wall time spent inside the solver (excludes lock wait).
@@ -164,9 +159,6 @@ struct RouteResponse {
   std::optional<DiverseStats> diverse;
 };
 
-/// Compatibility shim (see KspRequest). Scheduled for removal.
-using KspResponse [[deprecated("use RouteResponse")]] = RouteResponse;
-
 /// Outcome of one request inside a batch. A bad or shed request never
 /// fails its batch: it gets a non-OK status here while its neighbours are
 /// answered.
@@ -178,7 +170,6 @@ struct RouteBatchItem {
   /// (kDeadlineExceeded), or shed by load control (kResourceExhausted).
   AdmissionOutcome admission = AdmissionOutcome::kServed;
 };
-using KspBatchItem [[deprecated("use RouteBatchItem")]] = RouteBatchItem;
 
 /// Answer to RoutingService::QueryBatch. Items correspond 1:1 (same order)
 /// to the request span.
@@ -198,10 +189,6 @@ struct RouteBatchResponse {
   /// Wall time of the snapshot section (validation excluded).
   double batch_micros = 0;
 };
-
-/// Compatibility shim (see KspRequest). Scheduled for removal.
-using KspBatchResponse [[deprecated("use RouteBatchResponse")]] =
-    RouteBatchResponse;
 
 }  // namespace kspdg
 

@@ -1,87 +1,377 @@
 #include "api/routing_service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/strings.h"
 #include "core/timer.h"
+#include "ksp/path.h"
+#include "kspdg/partial_provider.h"
 
 namespace kspdg {
 
+namespace {
+
+uint64_t PairKey(VertexId a, VertexId b) {
+  return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+/// The in-process backend: every shard is a slice of the coordinator's own
+/// DTLP, so a fetch computes inline (the caller holds the shard's reader
+/// lock, the stand-in for shipping the request to the shard's server) and
+/// the coordinator's per-shard apply is the shard's whole update.
+class InProcessShardBackend final : public ShardBackend {
+ public:
+  explicit InProcessShardBackend(const Dtlp& dtlp) : dtlp_(dtlp) {}
+
+  Status FetchPartials(ShardId /*shard*/, std::span<const SubgraphId> owned,
+                       VertexId x, VertexId y, size_t depth,
+                       uint64_t /*epoch*/,
+                       std::vector<SubgraphPartials>* lists) const override {
+    const Partition& partition = dtlp_.partition();
+    for (SubgraphId sgid : owned) {
+      lists->push_back({sgid, LocalPartialProvider::PartialsInSubgraph(
+                                  partition.subgraphs[sgid], x, y, depth)});
+    }
+    return Status::OK();
+  }
+
+ private:
+  const Dtlp& dtlp_;
+};
+
+}  // namespace
+
+// The one PartialProvider of the serving core. Routes each boundary-pair
+// request to the shard(s) owning the subgraphs that contain the pair: a
+// pair owned by one shard goes directly to it, a pair spanning shards
+// scatters to every owner, and the per-subgraph lists are gathered through
+// MergeSubgraphPartials — the same merge LocalPartialProvider uses — so the
+// answer is identical to the inline computation whatever the shard count
+// or backend.
+//
+// A caching provider (one per batch worker, alive across batches) memoises
+// the lists per (shard, x, y, depth): an entry is reused only when the
+// requested depth matches exactly, or when the cached lists are complete
+// (exhausted at a depth <= the request, so a fresh run would return the very
+// same lists). Either way the replay feeds the merge the identical inputs a
+// fresh fetch would — reusing *deeper* lists instead would not be safe,
+// since InsertTopK's ordering under distance ties is sensitive to the extra
+// entries. Each shard's slice of the cache is stamped with the shard's
+// weights epoch and flushed when it moves. A single Query builds a
+// non-caching provider: QueryContext already reuses lists within one query,
+// and a cache that dies with the query would only copy them.
+//
+// Failure: the first failed fetch poisons the query — the provider records
+// the status, answers this and every later request of the query with an
+// empty exhausted result (stopping the depth schedule cold), and the service
+// discards the solver's output in favour of the recorded error.
+class RoutingService::ShardPartialProvider : public PartialProvider {
+ public:
+  ShardPartialProvider(const RoutingService& service, bool cache)
+      : service_(service),
+        max_cached_pairs_(cache ? service.options_.defaults.partial_cache_pairs
+                                : 0),
+        caches_(max_cached_pairs_ != 0 ? service.shards_.size() : 0),
+        shard_touched_(service.shards_.size(), 0) {}
+
+  /// Binds the read pin this provider computes under. The pin must stay
+  /// alive for every ComputePartials call until rebound.
+  void BindPin(const EpochCoordinator::ReadPin* pin) { pin_ = pin; }
+
+  /// Resets the per-query state (touch tracking and error; caches
+  /// persist). A query that opted out of partial reuse
+  /// (RoutingOptions::reuse_partials) neither reads nor fills the caches.
+  void BeginQuery(bool reuse_partials) {
+    std::fill(shard_touched_.begin(), shard_touched_.end(), 0);
+    error_ = Status::OK();
+    use_caches_ = reuse_partials && !caches_.empty();
+  }
+
+  /// First fetch failure of the current query (OK if none).
+  const Status& error() const { return error_; }
+
+  /// Distinct shards the current query's partial requests landed on.
+  size_t ShardsTouched() const {
+    size_t n = 0;
+    for (char touched : shard_touched_) n += touched != 0;
+    return n;
+  }
+
+  PartialResult ComputePartials(VertexId x, VertexId y,
+                                size_t depth) override {
+    if (!error_.ok()) return Poisoned();
+    const Partition& partition = service_.dtlp_->partition();
+    // Group the owning subgraphs by shard. Boundary pairs live in at most a
+    // handful of subgraphs, so linear scans beat any map.
+    std::vector<std::pair<ShardId, std::vector<SubgraphId>>> groups;
+    for (SubgraphId sgid : partition.SubgraphsContainingBoth(x, y)) {
+      ShardId shard = service_.assignment_.shard_of_subgraph[sgid];
+      auto it =
+          std::find_if(groups.begin(), groups.end(),
+                       [shard](const auto& g) { return g.first == shard; });
+      if (it == groups.end()) {
+        groups.push_back({shard, {sgid}});
+      } else {
+        it->second.push_back(sgid);
+      }
+    }
+    std::vector<SubgraphPartials> gathered;
+    size_t fresh_runs = 0;
+    const uint64_t key = PairKey(x, y);
+    for (const auto& [shard_id, owned] : groups) {
+      const Shard& shard = *service_.shards_[shard_id];
+      shard_touched_[shard_id] = 1;
+      ShardCache* cache = use_caches_ ? &caches_[shard_id] : nullptr;
+      if (cache != nullptr) {
+        // Stable under the pin — writers are excluded by the global lock.
+        const uint64_t weights_epoch =
+            shard.weights_epoch.load(std::memory_order_acquire);
+        if (cache->epoch != weights_epoch) {
+          if (!cache->entries.empty()) {
+            shard.cache_flushes.Increment();
+            cache->entries.clear();
+          }
+          cache->epoch = weights_epoch;
+        }
+        if (const CacheEntry* hit = cache->Find(key, depth)) {
+          shard.cache_hits.Increment();
+          gathered.insert(gathered.end(), hit->lists.begin(),
+                          hit->lists.end());
+          continue;
+        }
+      }
+      std::vector<SubgraphPartials> lists;
+      Status fetched;
+      {
+        EpochReaderLock lock = pin_->LockShard(shard_id);
+        fetched = service_.backend_->FetchPartials(
+            shard_id, owned, x, y, depth, pin_->epoch(), &lists);
+      }
+      if (fetched.ok() && lists.size() != owned.size()) {
+        fetched = Status::Internal(
+            "shard " + std::to_string(shard_id) + " returned " +
+            std::to_string(lists.size()) + " partial lists for " +
+            std::to_string(owned.size()) + " subgraphs");
+      }
+      if (!fetched.ok()) {
+        error_ = std::move(fetched);
+        return Poisoned();
+      }
+      shard.partial_requests.Increment();
+      shard.yen_runs.Increment(owned.size());
+      fresh_runs += owned.size();
+      if (cache == nullptr) {
+        std::move(lists.begin(), lists.end(), std::back_inserter(gathered));
+        continue;
+      }
+      gathered.insert(gathered.end(), lists.begin(), lists.end());
+      // Bound the memoisation: between flushes a read-heavy workload could
+      // otherwise accumulate lists for every boundary pair it ever touched.
+      // Past the cap, new pairs are computed but not cached (correctness
+      // never depends on a hit).
+      if (cache->entries.size() < max_cached_pairs_ ||
+          cache->entries.count(key) != 0) {
+        CacheEntry entry;
+        entry.depth = depth;
+        entry.exhausted = std::all_of(
+            lists.begin(), lists.end(), [depth](const SubgraphPartials& l) {
+              return l.paths.size() < depth;
+            });
+        entry.lists = std::move(lists);
+        cache->entries[key].push_back(std::move(entry));
+      } else {
+        shard.cache_skips.Increment();
+      }
+    }
+    PartialResult result = MergeSubgraphPartials(std::move(gathered), depth);
+    // Cached lists cost no Yen invocations; report only the fresh work.
+    result.yen_runs = fresh_runs;
+    if (groups.size() == 1) {
+      service_.direct_partials_.Increment();
+    } else if (groups.size() > 1) {
+      service_.scattered_partials_.Increment();
+    }
+    return result;
+  }
+
+ private:
+  struct CacheEntry {
+    size_t depth = 0;
+    /// Every list came back shorter than `depth`: the lists are complete,
+    /// so they equal a fresh computation at ANY depth >= this one.
+    bool exhausted = false;
+    std::vector<SubgraphPartials> lists;
+  };
+
+  struct ShardCache {
+    /// Shard::weights_epoch the entries were computed at.
+    uint64_t epoch = 0;
+    /// (x, y) -> entries at the distinct depths requested so far (the
+    /// KSP-DG depth schedule is k, 2k, 4k, ... — a handful per pair).
+    std::unordered_map<uint64_t, std::vector<CacheEntry>> entries;
+
+    const CacheEntry* Find(uint64_t key, size_t depth) const {
+      auto it = entries.find(key);
+      if (it == entries.end()) return nullptr;
+      for (const CacheEntry& entry : it->second) {
+        if (entry.depth == depth ||
+            (entry.exhausted && entry.depth <= depth)) {
+          return &entry;
+        }
+      }
+      return nullptr;
+    }
+  };
+
+  static PartialResult Poisoned() {
+    PartialResult failed;
+    failed.exhausted = true;  // stop the depth schedule; the query is lost
+    return failed;
+  }
+
+  const RoutingService& service_;
+  /// RoutingOptions::partial_cache_pairs, or 0 for a non-caching provider.
+  const size_t max_cached_pairs_;
+  const EpochCoordinator::ReadPin* pin_ = nullptr;
+  std::vector<ShardCache> caches_;
+  bool use_caches_ = false;
+  std::vector<char> shard_touched_;
+  Status error_;
+};
+
+RoutingService::BatchWorker::BatchWorker() = default;
+RoutingService::BatchWorker::BatchWorker(BatchWorker&&) noexcept = default;
+RoutingService::BatchWorker& RoutingService::BatchWorker::operator=(
+    BatchWorker&&) noexcept = default;
+RoutingService::BatchWorker::~BatchWorker() = default;
+
+RoutingService::RoutingService(Graph graph, RoutingServiceOptions options)
+    : graph_(std::move(graph)), options_(std::move(options)) {}
+
+RoutingService::~RoutingService() = default;
+
 Result<std::unique_ptr<RoutingService>> RoutingService::Create(
     Graph graph, RoutingServiceOptions options) {
-  KSPDG_RETURN_NOT_OK(options.defaults.Validate());
-  // The service must be heap-allocated before the DTLP is built: the index
-  // keeps a pointer to the service-owned graph.
   std::unique_ptr<RoutingService> service(
       new RoutingService(std::move(graph), std::move(options)));
-  Result<std::unique_ptr<Dtlp>> dtlp =
-      Dtlp::Build(service->graph_, service->options_.dtlp);
-  if (!dtlp.ok()) return dtlp.status();
-  service->dtlp_ = std::move(dtlp).value();
-  if (service->options_.enable_cands) {
-    Result<std::unique_ptr<CandsIndex>> cands =
-        BuildCandsIndex(service->graph_, service->options_.dtlp);
-    if (!cands.ok()) return cands.status();
-    service->cands_ = std::move(cands).value();
+  KSPDG_RETURN_NOT_OK(service->Init(nullptr));
+  return service;
+}
+
+Status RoutingService::Init(const BackendFactory& make_backend) {
+  KSPDG_RETURN_NOT_OK(options_.defaults.Validate());
+  if (options_.num_shards == 0) {
+    return Status::InvalidArgument("num_shards must be >= 1");
   }
-  service->registry_ = SolverRegistry::Default();
-  service->pool_ = std::make_unique<ThreadPool>(
-      DefaultBatchThreads(service->options_.batch_threads));
-  service->arenas_.resize(service->pool_->num_threads());
+  Result<std::unique_ptr<Dtlp>> dtlp = Dtlp::Build(graph_, options_.dtlp);
+  if (!dtlp.ok()) return dtlp.status();
+  dtlp_ = std::move(dtlp).value();
+  if (options_.enable_cands) {
+    Result<std::unique_ptr<CandsIndex>> cands =
+        BuildCandsIndex(graph_, options_.dtlp);
+    if (!cands.ok()) return cands.status();
+    cands_ = std::move(cands).value();
+  }
+  Result<ShardAssignment> assignment =
+      AssignShards(dtlp_->partition(), options_.num_shards);
+  if (!assignment.ok()) return assignment.status();
+  assignment_ = std::move(assignment).value();
+  registry_ = SolverRegistry::Default();
+  epochs_ = std::make_unique<EpochCoordinator>(assignment_.num_shards);
 
   // Wire instrumentation before any traffic: every hot-path handle is
   // resolved here, so serving pays one relaxed fetch_add per event and
   // never touches the registry mutex.
-  service->svc_metrics_.Init(service->metrics_, service->registry_.Names());
-  service->mu_.InstrumentWriter(
-      service->metrics_.GetCounter("epoch_writer_drains_total"),
-      service->metrics_.GetHistogram("epoch_writer_wait_micros", {},
-                                     LatencyBucketsMicros()));
-  service->metrics_.AddGaugeCallback(
-      "epoch", {}, [svc = service.get()] {
-        return static_cast<int64_t>(
-            svc->epoch_.load(std::memory_order_relaxed));
-      });
+  const EpochCoordinator* epochs = epochs_.get();
+  for (ShardId shard = 0; shard < assignment_.num_shards; ++shard) {
+    auto owned = std::make_unique<Shard>();
+    const MetricLabels labels = {{"shard", std::to_string(shard)}};
+    owned->partial_requests =
+        metrics_.GetCounter("partial_requests_total", labels);
+    owned->yen_runs = metrics_.GetCounter("yen_runs_total", labels);
+    owned->cache_hits = metrics_.GetCounter("partial_cache_hits_total", labels);
+    owned->cache_skips =
+        metrics_.GetCounter("partial_cache_skips_total", labels);
+    owned->cache_flushes =
+        metrics_.GetCounter("partial_cache_flushes_total", labels);
+    metrics_.AddGaugeCallback("shard_epoch", labels, [epochs, shard] {
+      return static_cast<int64_t>(epochs->shard(shard));
+    });
+    shards_.push_back(std::move(owned));
+  }
+  svc_metrics_.Init(metrics_, registry_.Names());
+  single_shard_queries_ = metrics_.GetCounter("single_shard_queries_total");
+  cross_shard_queries_ = metrics_.GetCounter("cross_shard_queries_total");
+  direct_partials_ = metrics_.GetCounter("direct_partial_requests_total");
+  scattered_partials_ = metrics_.GetCounter("scattered_partial_requests_total");
+  partial_fetch_errors_ = metrics_.GetCounter("partial_fetch_errors_total");
+  epochs_->global_lock().InstrumentWriter(
+      metrics_.GetCounter("epoch_writer_drains_total"),
+      metrics_.GetHistogram("epoch_writer_wait_micros", {},
+                            LatencyBucketsMicros()));
+  metrics_.AddGaugeCallback("epoch", {}, [epochs] {
+    return static_cast<int64_t>(epochs->global());
+  });
+
+  unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  apply_pool_ = std::make_unique<ThreadPool>(
+      static_cast<unsigned>(std::min<size_t>(shards_.size(), hw)));
+  batch_pool_ =
+      std::make_unique<ThreadPool>(DefaultBatchThreads(options_.batch_threads));
+  {
+    MutexLock batch_guard(batch_mu_);
+    batch_workers_.resize(batch_pool_->num_threads());
+    for (BatchWorker& worker : batch_workers_) {
+      worker.provider =
+          std::make_unique<ShardPartialProvider>(*this, /*cache=*/true);
+    }
+  }
 
   SubmissionQueueMetrics queue_metrics;
   queue_metrics.enqueue_blocked_total =
-      service->metrics_.GetCounter("submission_queue_enqueue_blocked_total");
-  queue_metrics.enqueue_block_micros = service->metrics_.GetHistogram(
+      metrics_.GetCounter("submission_queue_enqueue_blocked_total");
+  queue_metrics.enqueue_block_micros = metrics_.GetHistogram(
       "submission_queue_enqueue_block_micros", {}, LatencyBucketsMicros());
   queue_metrics.shed_deadline_total =
-      service->metrics_.GetCounter("submission_queue_shed_deadline_total");
+      metrics_.GetCounter("submission_queue_shed_deadline_total");
   queue_metrics.shed_quota_total =
-      service->metrics_.GetCounter("submission_queue_shed_quota_total");
+      metrics_.GetCounter("submission_queue_shed_quota_total");
   AdmissionOptions admission;
-  admission.per_tenant_quota = service->options_.per_tenant_quota;
-  service->submit_queue_ = std::make_unique<SubmissionQueue>(
-      service->options_.submit_queue_capacity, /*num_workers=*/1,
+  admission.per_tenant_quota = options_.per_tenant_quota;
+  submit_queue_ = std::make_unique<SubmissionQueue>(
+      options_.submit_queue_capacity, /*num_workers=*/1,
       std::move(queue_metrics), admission);
-  service->metrics_.AddGaugeCallback(
-      "submission_queue_depth", {}, [queue = service->submit_queue_.get()] {
-        return static_cast<int64_t>(queue->pending());
-      });
+  SubmissionQueue* queue = submit_queue_.get();
+  metrics_.AddGaugeCallback("submission_queue_depth", {}, [queue] {
+    return static_cast<int64_t>(queue->pending());
+  });
   for (RequestPriority priority :
        {RequestPriority::kInteractive, RequestPriority::kNormal,
         RequestPriority::kBatch}) {
-    service->metrics_.AddGaugeCallback(
+    metrics_.AddGaugeCallback(
         "submission_queue_depth_by_priority",
-        {{"priority", PriorityName(priority)}},
-        [queue = service->submit_queue_.get(), priority] {
+        {{"priority", PriorityName(priority)}}, [queue, priority] {
           return static_cast<int64_t>(queue->pending(priority));
         });
   }
-  service->metrics_.AddCounterCallback(
-      "submission_queue_submitted_total", {},
-      [queue = service->submit_queue_.get()] { return queue->submitted(); });
-  service->metrics_.AddCounterCallback(
-      "submission_queue_completed_total", {},
-      [queue = service->submit_queue_.get()] { return queue->completed(); });
-  return service;
+  metrics_.AddCounterCallback("submission_queue_submitted_total", {},
+                              [queue] { return queue->submitted(); });
+  metrics_.AddCounterCallback("submission_queue_completed_total", {},
+                              [queue] { return queue->completed(); });
+
+  if (!make_backend) {
+    backend_ = std::make_unique<InProcessShardBackend>(*dtlp_);
+    return Status::OK();
+  }
+  Result<std::unique_ptr<ShardBackend>> backend = make_backend();
+  if (!backend.ok()) return backend.status();
+  backend_ = std::move(backend).value();
+  return Status::OK();
 }
 
 Status RoutingService::RegisterSolver(std::unique_ptr<KspSolver> solver) {
@@ -103,6 +393,48 @@ Status RoutingService::PrepareQuery(const RouteRequest& request,
                              prepared);
 }
 
+Result<RouteResponse> RoutingService::SolvePrepared(
+    const RouteRequest& request, PreparedRoute& route,
+    ShardPartialProvider& provider, SolverScratch* scratch,
+    uint64_t epoch) const {
+  SolverInput input;
+  input.graph = &graph_;
+  input.dtlp = dtlp_.get();
+  input.partials = &provider;  // DTLP-free backends ignore it
+  input.cands = cands_.get();
+  input.source = request.source;
+  input.target = request.target;
+  // Each request is solved exactly once, so its merged options move
+  // through the input and into the response.
+  input.options = std::move(route.merged);
+  provider.BeginQuery(input.options.reuse_partials);
+  WallTimer timer;
+  Result<KspQueryResult> solved = route.solver->Solve(input, scratch);
+  if (!provider.error().ok()) {
+    // A partial fetch failed mid-solve: whatever the solver produced is
+    // untrustworthy. Degrade to the fetch error, never a wrong answer.
+    partial_fetch_errors_.Increment();
+    return provider.error();
+  }
+  if (!solved.ok()) return solved.status();
+  // The kDiverseKsp filter is a pure function of the candidate list, so
+  // the whole answer is one epoch's.
+  RouteResponse response = FinishRouteResponse(
+      route.kind, route.requested_k, std::move(input.options),
+      graph_.directed(), std::move(solved).value());
+  response.stats.solve_micros = timer.ElapsedMicros();
+  response.epoch = epoch;
+  size_t touched = provider.ShardsTouched();
+  if (touched == 1) {
+    single_shard_queries_.Increment();
+  } else if (touched > 1) {
+    cross_shard_queries_.Increment();
+  }
+  svc_metrics_.RecordQuery(route.kind, response.backend,
+                           response.stats.solve_micros);
+  return response;
+}
+
 Result<RouteResponse> RoutingService::Query(const RouteRequest& request) const {
   MarkServing();
   PreparedRoute prepared;
@@ -111,33 +443,12 @@ Result<RouteResponse> RoutingService::Query(const RouteRequest& request) const {
     svc_metrics_.RecordQueryFailure(status);
     return status;
   }
-
-  SolverInput input;
-  input.graph = &graph_;
-  input.dtlp = dtlp_.get();
-  input.cands = cands_.get();
-  input.source = request.source;
-  input.target = request.target;
-  input.options = std::move(prepared.merged);
-
-  // Snapshot section: weights and DTLP are frozen until the lock drops, so
-  // the whole solve (including the kDiverseKsp filter, which is a pure
-  // function of the candidate list) sees one consistent epoch.
-  EpochReaderLock lock(mu_);
-  WallTimer timer;
-  Result<KspQueryResult> solved = prepared.solver->Solve(input);
-  if (!solved.ok()) {
-    svc_metrics_.RecordQueryFailure(solved.status());
-    return solved.status();
-  }
-  RouteResponse response =
-      FinishRouteResponse(prepared.kind, prepared.requested_k,
-                          std::move(input.options), graph_.directed(),
-                          std::move(solved).value());
-  response.stats.solve_micros = timer.ElapsedMicros();
-  response.epoch = epoch_.load(std::memory_order_relaxed);
-  svc_metrics_.RecordQuery(prepared.kind, response.backend,
-                           response.stats.solve_micros);
+  ShardPartialProvider provider(*this, /*cache=*/false);
+  EpochCoordinator::ReadPin pin(*epochs_);
+  provider.BindPin(&pin);
+  Result<RouteResponse> response =
+      SolvePrepared(request, prepared, provider, nullptr, pin.epoch());
+  if (!response.ok()) svc_metrics_.RecordQueryFailure(response.status());
   return response;
 }
 
@@ -147,7 +458,7 @@ Result<RouteBatchResponse> RoutingService::QueryBatch(
   RouteBatchResponse batch;
   batch.items.resize(requests.size());
 
-  // Phase 1 (outside the lock): validate every request and resolve its
+  // Phase 1 (outside any lock): validate every request and resolve its
   // backend. Failures become per-item statuses, never a batch failure.
   struct Prepared {
     size_t index = 0;
@@ -173,63 +484,54 @@ Result<RouteBatchResponse> RoutingService::QueryBatch(
                      return a.route.solver->name() < b.route.solver->name();
                    });
 
-  // Phase 3 (snapshot section): ONE reader-lock acquisition covers every
-  // solve, so the whole batch is answered at a single epoch. Each work item
-  // writes only its own response slot; no synchronisation needed. batch_mu_
-  // keeps the persistent arenas single-batch-at-a-time, and is taken BEFORE
-  // the reader lock so queued batches wait outside the snapshot section — a
-  // waiting traffic writer then drains at most one in-flight batch, not the
-  // whole queue.
+  // Phase 3 (snapshot section): ONE read pin covers every solve, so the
+  // whole batch is answered at a single epoch — a concurrent
+  // ApplyTrafficBatch waits on the global lock and can never tear it.
   MutexLock batch_guard(batch_mu_);
-  EpochReaderLock lock(mu_);
-  WallTimer timer;
-  const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  batch.epoch = epoch;
-  if (arena_epoch_ != epoch) {
-    // Weights moved since the arenas were last warm: weight-derived caches
-    // (KSP-DG partials) must not survive into this snapshot.
-    for (SolverScratchArena& arena : arenas_) arena.OnSnapshotChange();
-    arena_epoch_ = epoch;
+  {
+    EpochCoordinator::ReadPin pin(*epochs_);
+    WallTimer timer;
+    const uint64_t epoch = pin.epoch();
+    batch.epoch = epoch;
+    if (arena_epoch_ != epoch) {
+      // Weights moved since the arenas were last warm: weight-derived
+      // solver caches must not survive into this snapshot.
+      for (BatchWorker& worker : batch_workers_) {
+        worker.arena.OnSnapshotChange();
+      }
+      arena_epoch_ = epoch;
+    }
+    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(&pin);
+    // The pool threads do not hold batch_mu_ — they are handed disjoint
+    // worker slots while this thread keeps the whole batch section locked,
+    // which the analysis cannot see through the lambda. The raw pointer is
+    // the deliberate escape hatch.
+    BatchWorker* const pool_workers = batch_workers_.data();
+    // Chunks large enough to amortise claiming, small enough to balance the
+    // (highly skewed) per-query solve costs across workers.
+    size_t chunk = std::max<size_t>(
+        1, work.size() / (4 * size_t{batch_pool_->num_threads()}));
+    batch_pool_->ParallelFor(
+        work.size(), chunk, [&](unsigned worker_id, size_t j) {
+          Prepared& p = work[j];
+          BatchWorker& worker = pool_workers[worker_id];
+          Result<RouteResponse> response = SolvePrepared(
+              requests[p.index], p.route, *worker.provider,
+              worker.arena.Get(p.route.solver), epoch);
+          RouteBatchItem& item = batch.items[p.index];
+          if (response.ok()) {
+            item.response = std::move(response).value();
+          } else {
+            item.status = response.status();
+          }
+        });
+    // The pin dies with this scope; unbind so a stale pointer can never be
+    // dereferenced by a later mis-sequenced call.
+    for (BatchWorker& worker : batch_workers_) {
+      worker.provider->BindPin(nullptr);
+    }
+    batch.batch_micros = timer.ElapsedMicros();
   }
-  // The pool threads do not hold batch_mu_ — they are handed disjoint
-  // arena slots while this thread keeps the whole batch section locked,
-  // which the analysis cannot see through the lambda. The raw pointer is
-  // the deliberate escape hatch.
-  SolverScratchArena* const pool_arenas = arenas_.data();
-  // Chunks large enough to amortise claiming, small enough to balance the
-  // (highly skewed) per-query solve costs across workers.
-  size_t chunk =
-      std::max<size_t>(1, work.size() / (4 * size_t{pool_->num_threads()}));
-  pool_->ParallelFor(
-      work.size(), chunk, [&](unsigned worker, size_t j) {
-        Prepared& p = work[j];
-        SolverInput input;
-        input.graph = &graph_;
-        input.dtlp = dtlp_.get();
-        input.cands = cands_.get();
-        input.source = requests[p.index].source;
-        input.target = requests[p.index].target;
-        // Each item runs exactly once, so its merged options move through
-        // the input and into the response.
-        input.options = std::move(p.route.merged);
-        RouteBatchItem& item = batch.items[p.index];
-        WallTimer solve_timer;
-        Result<KspQueryResult> solved = p.route.solver->Solve(
-            input, pool_arenas[worker].Get(p.route.solver));
-        if (!solved.ok()) {
-          item.status = solved.status();
-          return;
-        }
-        item.response = FinishRouteResponse(
-            p.route.kind, p.route.requested_k, std::move(input.options),
-            graph_.directed(), std::move(solved).value());
-        item.response.stats.solve_micros = solve_timer.ElapsedMicros();
-        item.response.epoch = epoch;
-        svc_metrics_.RecordQuery(p.route.kind, item.response.backend,
-                                 item.response.stats.solve_micros);
-      });
-  lock.Unlock();
-  batch.batch_micros = timer.ElapsedMicros();
 
   // Accepted items were recorded per solve (kind/backend/latency); the
   // admission classification and the rejection/shed totals settle here.
@@ -247,7 +549,7 @@ BatchTicket RoutingService::SubmitBatch(std::vector<RouteRequest> requests,
 
 Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     std::span<const WeightUpdate> updates) {
-  // Validate before taking the writer lock: a rejected batch must leave the
+  // Validate before taking any lock: a rejected batch must leave every
   // snapshot untouched (and NumEdges is immutable, so no lock is needed).
   for (const WeightUpdate& update : updates) {
     if (update.edge >= graph_.NumEdges()) {
@@ -260,10 +562,71 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
       return Status::InvalidArgument("updated weights must be positive");
     }
   }
-  EpochWriterLock lock(mu_);
+
+  // Group updates by owning subgraph (every edge has at most one owner).
+  // Per-subgraph lists preserve the batch's relative order, so repeated
+  // updates to one edge resolve identically however the slices are split.
+  const Partition& partition = dtlp_->partition();
+  std::vector<std::vector<WeightUpdate>> per_subgraph(dtlp_->NumSubgraphs());
+  std::vector<SubgraphId> touched;
+  for (const WeightUpdate& update : updates) {
+    SubgraphId sgid = partition.subgraph_of_edge[update.edge];
+    if (sgid == kInvalidSubgraph) continue;
+    if (per_subgraph[sgid].empty()) touched.push_back(sgid);
+    per_subgraph[sgid].push_back(update);
+  }
+  std::vector<std::vector<SubgraphId>> touched_of_shard(shards_.size());
+  std::vector<uint64_t> updates_of_shard(shards_.size(), 0);
+  for (SubgraphId sgid : touched) {
+    ShardId shard = assignment_.shard_of_subgraph[sgid];
+    touched_of_shard[shard].push_back(sgid);
+    updates_of_shard[shard] += per_subgraph[sgid].size();
+  }
+  for (std::vector<SubgraphId>& list : touched_of_shard) {
+    std::sort(list.begin(), list.end());
+  }
+
+  // Exclusive snapshot section: drain every read pin, then move the master
+  // state and every shard to the next global epoch together.
+  EpochWriterLock lock(epochs_->global_lock());
+  const uint64_t epoch = epochs_->BeginAdvance();
+  // Master: flat graph weights (the baselines' view of the snapshot).
   for (const WeightUpdate& update : updates) graph_.SetWeight(update);
+
+  // Per-shard slice of Algorithm 2, each under its shard's writer lock —
+  // the in-process analogue of the paper's per-server update application.
+  std::vector<std::vector<SubgraphId>> refreshed_of_shard(shards_.size());
+  apply_pool_->ParallelFor(
+      shards_.size(), /*chunk=*/1, [&](unsigned, size_t si) {
+        if (touched_of_shard[si].empty()) return;
+        EpochWriterLock shard_lock(epochs_->shard_lock(si));
+        for (SubgraphId sgid : touched_of_shard[si]) {
+          dtlp_->ApplyUpdatesToSubgraph(sgid, per_subgraph[sgid]);
+          if (dtlp_->RefreshSubgraph(sgid)) {
+            refreshed_of_shard[si].push_back(sgid);
+          }
+        }
+        // The slice changed: invalidate this shard's cached partials.
+        // Untouched shards keep their stamp, so their caches stay warm.
+        shards_[si]->weights_epoch.store(epoch, std::memory_order_release);
+      });
+  backend_->Prepare(epoch, updates, updates_of_shard);
+  for (size_t si = 0; si < shards_.size(); ++si) {
+    epochs_->PublishShard(si, epoch);
+  }
+
+  // Master: refresh the skeleton from the subgraphs whose bounds changed,
+  // in ascending subgraph order for determinism, then commit the epoch.
   TrafficBatchResult result;
-  result.dtlp = dtlp_->ApplyUpdates(updates);
+  std::vector<SubgraphId> refreshed;
+  for (const std::vector<SubgraphId>& list : refreshed_of_shard) {
+    refreshed.insert(refreshed.end(), list.begin(), list.end());
+  }
+  std::sort(refreshed.begin(), refreshed.end());
+  for (SubgraphId sgid : refreshed) {
+    dtlp_->PushSubgraphBoundsToSkeleton(sgid);
+    result.dtlp.skeleton_pairs_refreshed += dtlp_->index(sgid).pairs().size();
+  }
   if (cands_ != nullptr) {
     // CANDS maintenance: every touched subgraph's exact boundary-pair
     // shortest paths are recomputed — deliberately inside the exclusive
@@ -273,24 +636,14 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     result.cands = cands_->ApplyUpdates(updates);
     result.cands_micros = cands_timer.ElapsedMicros();
   }
-  result.epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  epoch_.store(result.epoch, std::memory_order_relaxed);
+  epochs_->Commit(epoch);
+  backend_->Commit(epoch, updates);
+
+  result.epoch = epoch;
+  for (uint64_t n : updates_of_shard) result.dtlp.updates_applied += n;
+  result.dtlp.subgraphs_touched = touched.size();
   svc_metrics_.RecordTrafficBatch(updates.size());
   return result;
-}
-
-uint64_t RoutingService::CurrentEpoch() const {
-  EpochReaderLock lock(mu_);
-  return epoch_.load(std::memory_order_relaxed);
-}
-
-ServiceCounters RoutingService::counters() const {
-  ServiceCounters counters;
-  counters.queries_ok = svc_metrics_.queries_ok.value();
-  counters.queries_rejected = svc_metrics_.queries_rejected.value();
-  counters.batches_applied = svc_metrics_.traffic_batches.value();
-  counters.updates_applied = svc_metrics_.weight_updates.value();
-  return counters;
 }
 
 }  // namespace kspdg

@@ -1,26 +1,44 @@
-// RoutingService: the single public facade over the KSP machinery.
+// RoutingService: the one serving core — the coordinator of the paper's
+// deployment (§4), parameterised by a shard backend.
 //
-// One instance owns the dynamic graph, the DTLP index built over it, and the
-// registry of solver backends, and serves the paper's workload (§1, §5):
-// KSP queries streaming in *while* traffic updates stream in. Concurrency is
-// epoch-based snapshotting on a reader/writer lock:
+// One instance owns the dynamic graph, the DTLP master built over it, the
+// CANDS baseline index, the solver registry, the epoch protocol, the batch
+// pool, the submission queue, and the metrics registry, and serves the
+// paper's workload (§1, §5): route queries streaming in *while* traffic
+// updates stream in. The subgraphs of the DTLP partition are split over
+// `num_shards` shards, and the KSP-DG refine step's boundary-pair partials
+// go to the shard owning each subgraph through a ShardBackend
+// (api/shard_backend.h): by default an in-process slice of this
+// coordinator's own DTLP, or the RPC replica set of
+// RemoteShardedRoutingService. Answers never depend on the shard count or
+// the backend.
 //
-//   Query(request)            shared lock   — any number run concurrently
-//   QueryBatch(requests)      shared lock   — one acquisition for the whole
-//                                             batch, answered in parallel on
-//                                             the service-owned thread pool
-//   ApplyTrafficBatch(batch)  unique lock   — drains readers, applies
-//                                             Algorithm 2, bumps the epoch
+// Concurrency is epoch-based snapshotting through one EpochCoordinator
+// (core/epoch_coordinator.h):
+//
+//   Query / QueryBatch  ReadPin (global shared lock) freezes every shard at
+//                       the committed epoch; each partial fetch also holds
+//                       its shard's reader lock. A QueryBatch takes ONE pin
+//                       and runs on the service pool, where each worker
+//                       keeps per-(shard, worker) partial caches that stay
+//                       warm across batches until that shard's weights move.
+//   SubmitBatch         async QueryBatch: bounded, admission-controlled
+//                       submission queue plus a ticket.
+//   ApplyTrafficBatch   global exclusive lock (drains every pin), then the
+//                       batch fans out per shard — each shard's slice of
+//                       Algorithm 2 under that shard's writer lock — the
+//                       backend moves the shard owners, and the coordinator
+//                       refreshes the skeleton and CANDS and commits ONE
+//                       global epoch.
 //
 // Every response carries the epoch it was answered at, so clients can detect
 // staleness and tests can assert that no query ever observed a half-applied
-// batch. This turns the old "safe to share across query threads as long as
-// no update is applied concurrently" comment on the engine into an enforced
-// invariant.
+// batch.
 #ifndef KSPDG_API_ROUTING_SERVICE_H_
 #define KSPDG_API_ROUTING_SERVICE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -30,8 +48,9 @@
 #include "api/routing_options.h"
 #include "api/routing_service_interface.h"
 #include "api/service_metrics.h"
+#include "api/shard_backend.h"
 #include "cands/cands.h"
-#include "core/epoch_lock.h"
+#include "core/epoch_coordinator.h"
 #include "core/mutex.h"
 #include "core/status.h"
 #include "core/submission_queue.h"
@@ -40,6 +59,7 @@
 #include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
+#include "partition/shard_assignment.h"
 
 namespace kspdg {
 
@@ -54,6 +74,10 @@ struct RoutingServiceOptions {
   /// every ApplyTrafficBatch — the paper's Figures 40-41 cost contrast —
   /// and is reported in TrafficBatchResult. Disable to skip both costs.
   bool enable_cands = true;
+  /// Shards the subgraph set is split over (>= 1; shards beyond the
+  /// subgraph count own nothing). A traffic batch fans out over one thread
+  /// per shard, capped at the hardware thread count.
+  uint32_t num_shards = 1;
   /// Threads answering one QueryBatch (0 = one per hardware thread, capped
   /// at 16; 1 = batches execute inline on the caller). The pool is owned by
   /// the service and shared by all batches.
@@ -68,73 +92,69 @@ struct RoutingServiceOptions {
   size_t per_tenant_quota = 0;
 };
 
-/// Running totals for monitoring — a *view* computed from the service's
-/// metrics registry (snapshot, not transactional).
-struct ServiceCounters {
-  uint64_t queries_ok = 0;
-  uint64_t queries_rejected = 0;
-  uint64_t batches_applied = 0;
-  uint64_t updates_applied = 0;
-};
-
 class RoutingService : public RoutingServiceInterface {
  public:
   /// Takes ownership of `graph`, partitions it and builds the DTLP
-  /// (Algorithm 1), and loads the default backends. Fails if the service
-  /// defaults are invalid or the partitioner rejects the graph.
+  /// (Algorithm 1), splits its subgraphs over `options.num_shards`
+  /// in-process shards, and loads the default backends. Fails if the
+  /// defaults are invalid, num_shards == 0, or the partitioner rejects the
+  /// graph.
   static Result<std::unique_ptr<RoutingService>> Create(
       Graph graph, RoutingServiceOptions options = {});
 
   RoutingService(const RoutingService&) = delete;
   RoutingService& operator=(const RoutingService&) = delete;
 
-  /// Answers q(source, target) — any QueryKind — on the current weight
-  /// snapshot with the backend named by the merged options. Thread-safe;
-  /// runs concurrently with other queries and serialises against
-  /// ApplyTrafficBatch.
+  /// Drains the async submission queue (accepted batches complete), then
+  /// releases the shard backend.
+  ~RoutingService() override;
+
+  /// Answers q(source, target) — any QueryKind — on the current snapshot
+  /// with the backend named by the merged options. Thread-safe; runs
+  /// concurrently with other queries and serialises against
+  /// ApplyTrafficBatch. A failed partial fetch fails the query with the
+  /// fetch's status; the solver's output is discarded.
   Result<RouteResponse> Query(const RouteRequest& request) const override;
 
-  /// Answers a whole batch of queries on ONE weight snapshot: requests are
-  /// validated up front, the reader lock is acquired once, and the valid
-  /// requests are grouped by backend and executed on the service's thread
-  /// pool. Each worker draws solver scratch (pooled candidate heaps /
-  /// partial caches) from a persistent per-worker arena that stays warm
-  /// across batches until a traffic batch moves the epoch. Invalid requests
-  /// receive per-item statuses without failing the batch. Thread-safe;
-  /// concurrent batches and single queries run under the same reader lock
-  /// and serialise against ApplyTrafficBatch.
+  /// Answers a whole batch of queries on ONE snapshot: requests are
+  /// validated up front, the read pin is taken once, and the valid
+  /// requests are grouped by backend and executed on the service's pool.
+  /// Each worker keeps solver scratch plus per-(shard, worker) partial
+  /// caches that stay warm across batches until the shard's weights move,
+  /// so repeated boundary pairs cost no new partial Yen runs. Answers are
+  /// byte-identical to issuing the requests one by one. Invalid requests
+  /// receive per-item statuses without failing the batch. Thread-safe.
   Result<RouteBatchResponse> QueryBatch(
       std::span<const RouteRequest> requests) const override;
 
   /// Asynchronous QueryBatch: enqueues the batch on the service's bounded
   /// submission queue and returns a ticket immediately, so the caller can
-  /// produce the next batch while this one solves. Blocks only when the
-  /// queue is full (backpressure). The optional callback fires on the
-  /// submission worker thread once the ticket is fulfilled. Thread-safe;
-  /// batches execute in submission order and every accepted batch completes
-  /// before the service finishes destruction.
-  [[nodiscard]] BatchTicket SubmitBatch(std::vector<RouteRequest> requests,
-                          BatchCallback callback = nullptr) const override;
+  /// produce the next batch while this one solves. The optional callback
+  /// fires on the submission worker thread once the ticket is fulfilled.
+  /// Thread-safe; batches execute in submission order and every accepted
+  /// batch completes before the service finishes destruction.
+  [[nodiscard]] BatchTicket SubmitBatch(
+      std::vector<RouteRequest> requests,
+      BatchCallback callback = nullptr) const override;
 
-  /// Applies one batch of weight updates atomically: the graph's current
-  /// weights and the DTLP (Algorithm 2) move to the next epoch together,
-  /// with all concurrent queries drained. The batch is validated up front
-  /// and rejected as a whole on any bad entry. Thread-safe.
+  /// Applies one batch of weight updates atomically across the coordinator
+  /// and every shard: the flat weights, the shards' subgraph copies, the
+  /// skeleton, and CANDS move to the next global epoch together, with all
+  /// concurrent queries drained. The batch is validated up front and
+  /// rejected as a whole on any bad entry. Thread-safe.
   Result<TrafficBatchResult> ApplyTrafficBatch(
       std::span<const WeightUpdate> updates) override;
 
   /// Adds a custom backend. Must be called before serving traffic — the
-  /// registry reads on the query path take no lock, so registration was
-  /// never safe against in-flight queries. Once the first
+  /// registry reads on the query path take no lock. Once the first
   /// Query/QueryBatch/SubmitBatch has been accepted the registry is frozen
   /// and registration fails with kFailedPrecondition. (Best-effort
-  /// enforcement of that lifecycle: it rejects any registration that
-  /// happens-after an observed query; truly concurrent first-query vs
-  /// registration remains the caller's setup bug to avoid.)
+  /// enforcement: truly concurrent first-query vs registration remains the
+  /// caller's setup bug to avoid.)
   Status RegisterSolver(std::unique_ptr<KspSolver> solver);
 
-  /// Epoch of the current weight snapshot (0 until the first batch).
-  uint64_t CurrentEpoch() const override;
+  /// Committed global epoch (0 until the first batch).
+  uint64_t CurrentEpoch() const override { return epochs_->global(); }
 
   /// Registered backend names, sorted.
   std::vector<std::string> BackendNames() const override {
@@ -142,29 +162,87 @@ class RoutingService : public RoutingServiceInterface {
   }
 
   /// Consistent scrape of the service's metrics registry: query totals by
-  /// kind/backend, solve-latency histograms, queue depth, epoch-drain
-  /// telemetry. Never blocks queries or updates.
+  /// kind/backend, solve-latency histograms, per-shard partial traffic and
+  /// cache series ({shard} labels), queue depth, epoch-drain telemetry.
+  /// Never blocks queries or updates.
   MetricsSnapshot Metrics() const override { return metrics_.Snapshot(); }
 
-  ServiceCounters counters() const;
+  uint32_t num_shards() const { return assignment_.num_shards; }
+  const ShardAssignment& assignment() const { return assignment_; }
 
-  /// Read-only views for tooling; do not mutate through aliases while the
-  /// service is live, all writes must go through ApplyTrafficBatch.
+  /// Read-only views for tooling; all writes go through ApplyTrafficBatch.
   const Graph& graph() const { return graph_; }
   const Dtlp& dtlp() const { return *dtlp_; }
   /// nullptr when created with enable_cands = false.
   const CandsIndex* cands() const { return cands_.get(); }
   const RoutingOptions& defaults() const { return options_.defaults; }
 
- private:
-  RoutingService(Graph graph, RoutingServiceOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
+ protected:
+  /// Builds the shard backend once the master state exists (the RPC
+  /// backend spawns its fleet from the partition and assignment).
+  using BackendFactory =
+      std::function<Result<std::unique_ptr<ShardBackend>>()>;
 
-  /// Delegates to PrepareRoutingQuery (shared with ShardedRoutingService).
-  /// Fills `prepared` on success. Does not touch counters; callers account
-  /// rejections themselves.
+  RoutingService(Graph graph, RoutingServiceOptions options);
+
+  /// Builds the master state (DTLP, CANDS, shard assignment, epochs,
+  /// pools, metrics, queue), then installs the backend `make_backend`
+  /// returns — or the in-process one when it is empty. Call once, right
+  /// after construction; the object must already be heap-allocated (the
+  /// index keeps a pointer to the service-owned graph).
+  Status Init(const BackendFactory& make_backend);
+
+  MetricsRegistry& metrics_registry() { return metrics_; }
+  const EpochCoordinator& epochs() const { return *epochs_; }
+
+ private:
+  /// One shard's coordinator-side state. The subgraph/index storage stays
+  /// inside the shared Dtlp (per-subgraph operations are thread-safe across
+  /// distinct subgraphs); the shard's lock is owned by the EpochCoordinator.
+  struct Shard {
+    /// Epoch at which this shard's slice (subgraph weight copies) last
+    /// actually changed — NOT the published epoch, which advances on every
+    /// traffic batch. Cached partials derive only from the slice, so the
+    /// per-(shard, worker) caches flush against this stamp: a batch that
+    /// never touched this shard leaves its cached partials warm and valid.
+    std::atomic<uint64_t> weights_epoch{0};
+    /// Registry handles labelled {shard="<id>"}, wired in Init.
+    Counter partial_requests;
+    Counter yen_runs;
+    Counter cache_hits;
+    Counter cache_skips;
+    Counter cache_flushes;
+  };
+
+  class ShardPartialProvider;
+
+  /// Persistent state of one batch-pool worker: solver scratch (pooled Yen
+  /// ban buffers etc.) plus the caching partial provider. Guarded by
+  /// batch_mu_.
+  struct BatchWorker {
+    SolverScratchArena arena;
+    std::unique_ptr<ShardPartialProvider> provider;
+
+    // Out of line: ShardPartialProvider is incomplete here.
+    BatchWorker();
+    BatchWorker(BatchWorker&&) noexcept;
+    BatchWorker& operator=(BatchWorker&&) noexcept;
+    ~BatchWorker();
+  };
+
+  /// Delegates to PrepareRoutingQuery. Fills `prepared` on success; callers
+  /// account rejections themselves.
   Status PrepareQuery(const RouteRequest& request,
                       PreparedRoute* prepared) const;
+
+  /// Solves one prepared request on the pinned snapshot `provider` is bound
+  /// to, and records it. A partial-fetch failure recorded by the provider
+  /// wins over whatever the solver returned.
+  Result<RouteResponse> SolvePrepared(const RouteRequest& request,
+                                      PreparedRoute& route,
+                                      ShardPartialProvider& provider,
+                                      SolverScratch* scratch,
+                                      uint64_t epoch) const;
 
   /// Marks the registry frozen. Only the first accepted query writes the
   /// flag, so the hot path stays read-only afterwards.
@@ -182,37 +260,48 @@ class RoutingService : public RoutingServiceInterface {
   /// counters.
   MetricsRegistry metrics_;
   std::unique_ptr<Dtlp> dtlp_;
-  /// The CANDS baseline index behind the "cands" backend; rebuilt-on-update
-  /// inside ApplyTrafficBatch. Null when enable_cands is false.
+  /// The CANDS baseline index behind the "cands" backend; coordinator-owned
+  /// like the flat weights and rebuilt-on-update inside ApplyTrafficBatch.
+  /// Null when enable_cands is false.
   std::unique_ptr<CandsIndex> cands_;
   SolverRegistry registry_;
   /// Set by the first served query; freezes the registry (see
   /// RegisterSolver).
   mutable std::atomic<bool> serving_{false};
-  /// Executes QueryBatch work items; owned so batches reuse warm threads
-  /// instead of paying thread creation per call.
-  std::unique_ptr<ThreadPool> pool_;
-  /// Per-worker scratch arenas, persistent across batches so caches stay
-  /// warm while the epoch holds still. Guarded by batch_mu_, which also
-  /// serialises the parallel section of concurrent QueryBatch calls (the
-  /// pool would serialise them anyway).
+  ShardAssignment assignment_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Owns the global + per-shard locks and the epoch advance protocol; all
+  /// read paths pin the snapshot through EpochCoordinator::ReadPin.
+  std::unique_ptr<EpochCoordinator> epochs_;
+  /// Executes the per-shard ApplyTrafficBatch fan-out (inline at 1 shard).
+  std::unique_ptr<ThreadPool> apply_pool_;
+  /// Executes QueryBatch work items (separate from apply_pool_: one runs
+  /// under the global shared lock, the other under the exclusive lock).
+  std::unique_ptr<ThreadPool> batch_pool_;
+
+  /// Serialises the parallel section of concurrent QueryBatch calls and
+  /// guards the persistent worker state below. Taken BEFORE the read pin so
+  /// queued batches wait outside the snapshot section — a waiting traffic
+  /// writer then drains at most one in-flight batch, not the whole queue.
   mutable Mutex batch_mu_{"RoutingService::batch_mu_"};
-  mutable std::vector<SolverScratchArena> arenas_ GUARDED_BY(batch_mu_);
-  /// Epoch the arenas were last used at; a mismatch triggers
-  /// SolverScratch::OnSnapshotChange() before the batch runs.
+  mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);
+  /// Global epoch the worker arenas were last used at; a mismatch triggers
+  /// SolverScratch::OnSnapshotChange() before the batch runs. The partial
+  /// caches flush themselves per shard, against Shard::weights_epoch.
   mutable uint64_t arena_epoch_ GUARDED_BY(batch_mu_) = 0;
 
-  /// Guards graph_ weights, the DTLP, and epoch_ (readers shared, updates
-  /// exclusive; write-preferring so traffic batches cannot starve).
-  mutable EpochLock mu_{"RoutingService::mu_"};
-  /// Written under the exclusive lock, read under the shared lock; atomic
-  /// so the registry's epoch gauge callback can sample it during a scrape
-  /// without joining the lock protocol.
-  std::atomic<uint64_t> epoch_{0};
-
-  /// Query/update handles into metrics_ (shared bundle; ServiceCounters is
-  /// a view over these).
+  /// Query/update handles into metrics_.
   ServiceMetrics svc_metrics_;
+  Counter single_shard_queries_;
+  Counter cross_shard_queries_;
+  Counter direct_partials_;
+  Counter scattered_partials_;
+  Counter partial_fetch_errors_;
+
+  /// Where partial fetches and traffic slices go. Declared after every
+  /// member it may read and before submit_queue_, so the queue drains
+  /// before the backend (and, for the RPC backend, its fleet) goes away.
+  std::unique_ptr<ShardBackend> backend_;
 
   /// Async SubmitBatch queue. Declared last so it is destroyed FIRST:
   /// destruction drains the accepted batches, which still run QueryBatch

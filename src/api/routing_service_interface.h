@@ -1,14 +1,12 @@
 // RoutingServiceInterface: the one serving contract every implementation
 // answers to.
 //
-// Three services serve the same workload from different topologies — the
-// in-process RoutingService, the N-shard ShardedRoutingService, and the
-// out-of-process RemoteShardedRoutingService. Their public surfaces were
-// grown to be call-compatible; this interface makes that an enforced
-// contract instead of a convention, so harnesses that only care about the
-// contract (the bench runner, the parity tests, the async ticket plumbing)
-// are written once against the abstract type and run unchanged over any
-// implementation or any pair of them.
+// One serving core, RoutingService, answers it for every deployment: any
+// number of in-process shards, or the out-of-process replica fleet of
+// RemoteShardedRoutingService. Harnesses that only care about the contract
+// (the bench, the parity tests, the async ticket plumbing) are written once
+// against the abstract type and run unchanged over any deployment or any
+// pair of them.
 //
 // The contract is the serving surface plus observability:
 //
@@ -87,8 +85,8 @@ class RoutingServiceInterface {
   /// blocks: under pressure it is shed instead (ticket fulfilled with an
   /// OK response whose items carry kDeadlineExceeded / kResourceExhausted
   /// statuses and AdmissionOutcomes — shedding never fails the batch).
-  /// Identical on every implementation by construction: all three route
-  /// through BatchTicket::SubmitTo.
+  /// Identical on every deployment by construction: all route through
+  /// BatchTicket::SubmitTo.
   [[nodiscard]] virtual BatchTicket SubmitBatch(
       std::vector<RouteRequest> requests,
       BatchCallback callback = nullptr) const = 0;

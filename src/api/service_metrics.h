@@ -1,16 +1,11 @@
-// ServiceMetrics: the instrumentation bundle every serving front-end owns.
-//
-// All three RoutingServiceInterface implementations record the same
-// query-path events — accepted/rejected totals, queries_total{kind,backend},
-// per-kind solve-latency histograms, traffic-batch totals. This bundle
+// ServiceMetrics: the serving core's query-path instrumentation bundle —
+// accepted/rejected totals, queries_total{kind,backend}, per-kind
+// solve-latency histograms, traffic-batch totals. This bundle
 // pre-registers every handle at service construction (registration takes
 // the registry mutex; the registry is frozen against new backends once the
 // first query is served), so the hot path is pure handle increments: no
 // lock, no string building, one relaxed fetch_add per counter touched.
-//
-// The legacy ServiceCounters / ShardedServiceCounters structs are now
-// *views* computed from these handles — the registry is the single source
-// of truth.
+// The registry is the single source of truth: read it through Metrics().
 #ifndef KSPDG_API_SERVICE_METRICS_H_
 #define KSPDG_API_SERVICE_METRICS_H_
 
@@ -77,11 +72,10 @@ struct ServiceMetrics {
   /// kResourceExhausted), so shed work is visible as shed, not just failed.
   void RecordQueryFailure(const Status& status) const;
 
-  /// The one post-solve accounting step all three QueryBatch
-  /// implementations share: classifies every item (RouteBatchItem::
-  /// admission), tallies num_ok / num_rejected / num_shed, and settles the
-  /// admission + rejection counters. Served items were already recorded per
-  /// solve via RecordQuery.
+  /// The one post-solve accounting step of QueryBatch: classifies every
+  /// item (RouteBatchItem::admission), tallies num_ok / num_rejected /
+  /// num_shed, and settles the admission + rejection counters. Served items
+  /// were already recorded per solve via RecordQuery.
   void FinalizeBatchAdmission(RouteBatchResponse& batch) const;
 
   /// Queue-level view for BatchTicket::SubmitTo.

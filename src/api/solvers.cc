@@ -66,7 +66,7 @@ Status PrepareRoutingQuery(const SolverRegistry& registry,
   // Admission: expired work is answered, never solved. This is the last of
   // the three deadline checks (submit, dequeue, solve) and the one that
   // covers the sync Query/QueryBatch paths and per-item deadlines inside an
-  // admitted batch — all three services share this seam.
+  // admitted batch — every deployment shares this seam.
   if (request.context.ExpiredAt(std::chrono::steady_clock::now())) {
     return Status::DeadlineExceeded("deadline expired before solve; shed");
   }
@@ -186,45 +186,26 @@ struct YenBackendScratch : SolverScratch {
   YenScratch yen;
 };
 
-/// KSP-DG scratch: a partial-path cache that stays warm across the queries
-/// one batch worker answers at a single snapshot — different (s, t) pairs
-/// share boundary-pair partials, so batch neighbours skip whole Yen runs.
-/// The cache is weight-derived, so it empties when the snapshot moves.
-struct KspDgScratch : SolverScratch {
-  PartialCacheStore partials;
-
-  void OnSnapshotChange() override { partials.entries.clear(); }
-};
-
-/// DTLP filter-and-refine (Algorithms 3 + 4); the paper's KSP-DG.
+/// DTLP filter-and-refine (Algorithms 3 + 4); the paper's KSP-DG. Keeps no
+/// scratch: cross-query partial reuse lives in the service's partial
+/// provider, per (shard, worker), so it flushes with the shard it derives
+/// from.
 class KspDgSolver : public KspSolver {
  public:
   std::string_view name() const override { return kBackendKspDg; }
 
-  std::unique_ptr<SolverScratch> NewScratch() const override {
-    return std::make_unique<KspDgScratch>();
-  }
-
-  bool UsesPartialProvider() const override { return true; }
-
   Result<KspQueryResult> Solve(const SolverInput& input,
-                               SolverScratch* scratch) const override {
+                               SolverScratch*) const override {
     if (input.dtlp == nullptr) {
       return Status::FailedPrecondition("kspdg backend requires a DTLP index");
     }
-    // The shared cache honours reuse_partials: when a request opts out of
-    // partial reuse it must not see (or pollute) warm cross-query entries.
-    PartialCacheStore* cache = nullptr;
-    if (scratch != nullptr && input.options.reuse_partials) {
-      cache = &static_cast<KspDgScratch*>(scratch)->partials;
-    }
     // Inline partial computation unless the caller injected a provider (the
-    // sharded service routes partials to the shard owning each subgraph).
+    // service routes partials to the shard owning each subgraph).
     LocalPartialProvider local_provider(*input.dtlp);
     PartialProvider* provider =
         input.partials != nullptr ? input.partials : &local_provider;
     return RunKspDgQuery(*input.dtlp, provider, input.source, input.target,
-                         input.options.ToEngineOptions(), cache);
+                         input.options.ToEngineOptions());
   }
 };
 

@@ -23,8 +23,8 @@
 namespace kspdg {
 
 /// Threads one QueryBatch may use when the caller passes 0: one per
-/// hardware thread, capped at 16. The single policy both service
-/// front-ends size their batch pools with.
+/// hardware thread, capped at 16. The policy the service sizes its batch
+/// pool with.
 inline unsigned DefaultBatchThreads(unsigned requested) {
   if (requested != 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();

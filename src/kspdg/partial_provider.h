@@ -38,7 +38,7 @@ struct SubgraphPartials {
 /// The merge runs in ascending subgraph order and that order is part of the
 /// contract: InsertTopK keeps the FIRST copy of a duplicate route, which is
 /// observable when parallel edges split a route across subgraphs. Every
-/// deployment (inline, sharded, future RPC) must merge through this one
+/// deployment (inline, sharded, RPC) must merge through this one
 /// function so their answers cannot drift. Sets `exhausted` iff every list
 /// came back shorter than `depth`, and `yen_runs` to the list count.
 PartialResult MergeSubgraphPartials(std::vector<SubgraphPartials> lists,

@@ -6,17 +6,23 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/timer.h"
-#include "kspdg/partial_provider.h"
+#include "api/shard_backend.h"
+#include "core/epoch_lock.h"
+#include "core/mutex.h"
+#include "core/thread_annotations.h"
+#include "core/thread_pool.h"
+#include "partition/shard_assignment.h"
+#include "rpc/client.h"
 #include "rpc/wire.h"
 
 extern char** environ;
@@ -24,18 +30,6 @@ extern char** environ;
 namespace kspdg {
 
 namespace {
-
-unsigned ResolveApplyThreads(unsigned requested, size_t num_workers) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return static_cast<unsigned>(
-      std::min<size_t>(num_workers, static_cast<size_t>(hw)));
-}
-
-uint64_t PairKey(VertexId a, VertexId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 /// See RemoteWorkerOptions::worker_binary: explicit path, else the
 /// KSPDG_WORKER_BIN env override, else "shard_worker" next to the current
@@ -67,177 +61,143 @@ std::atomic<uint64_t> g_instance_counter{0};
 
 }  // namespace
 
-// The RPC twin of ShardedRoutingService::ShardPartialProvider: identical
-// grouping, caching, and merge semantics (see that class for the depth/
-// exhaustion reuse rules the parity guarantee rests on), but a fresh
-// computation becomes a PartialsRequest to a worker process of the shard's
-// replica set instead of an inline Yen run under the shard's lock. The
-// request carries the pinned epoch, so a worker that silently missed a
-// traffic batch rejects instead of contributing stale paths.
-//
-// Replica routing: each fetch starts at the shard's round-robin cursor and
-// walks the replica set, skipping replicas that are dead or have not
-// committed the pinned epoch; a transport failure marks that replica dead
-// and fails over to the next sibling. Every replica replays the same epoch
-// sequence, so whichever one answers, the bytes are identical. The caches
-// are therefore per shard, not per replica.
-//
-// Failure semantics: the first failed fetch (meaning: no replica of some
-// shard could serve it) poisons the query — the provider records the
-// status, answers this and every later request of the query with an empty
-// exhausted result (stopping the depth schedule cold), and the service
-// discards the solver's output in favour of the recorded error. An
-// all-replicas-dead shard therefore costs each affected query one fast
-// status, never a hang and never a silently wrong answer.
-class RemoteShardedRoutingService::RemotePartialProvider
-    : public PartialProvider {
+// The RPC replica-set shard backend: num_replicas shard_worker processes
+// per shard, plus the replication log (checkpoint + retained history) that
+// revives them. Every method that touches the fleet's membership or log
+// (Prepare, Commit, RestartDeadWorkers, the checkpoint accessors) runs
+// under the coordinator's global epoch lock — exclusive for writers, shared
+// for readers — which is the log's only guard.
+class ReplicaFleet final : public ShardBackend {
  public:
-  explicit RemotePartialProvider(const RemoteShardedRoutingService& service)
-      : service_(service),
-        max_cached_pairs_(service.options_.defaults.partial_cache_pairs),
-        caches_(service.assignment_.num_shards),
-        shard_touched_(service.assignment_.num_shards, 0) {}
-
-  /// Binds the multi-shard read pin whose epoch stamps every request.
-  void BindPin(const EpochCoordinator::ReadPin* pin) { pin_ = pin; }
-
-  /// Resets the per-query state (touch tracking + error; caches persist).
-  void BeginQuery() {
-    std::fill(shard_touched_.begin(), shard_touched_.end(), 0);
-    error_ = Status::OK();
+  ReplicaFleet(const Graph& graph, const ShardAssignment& assignment,
+               MetricsRegistry& metrics,
+               RemoteShardedRoutingServiceOptions options)
+      : graph_(graph),
+        assignment_(assignment),
+        options_(std::move(options)),
+        checkpoint_graph_(graph),
+        next_replica_(assignment.num_shards) {
+    // The replay source for worker (re)starts: a restarted worker must
+    // re-derive the exact incrementally-maintained state of its peers, so
+    // it loads the latest checkpoint and replays the retained history.
+    // Until the first checkpoint that is the pristine Create-time graph at
+    // epoch 0. (Safe because the partition is weight-independent and worker
+    // partials read only subgraph weight copies: replaying from a
+    // checkpoint lands on the same bytes as replaying from scratch.)
+    const std::string socket_dir = ResolveSocketDir(options_.remote.socket_dir);
+    const uint64_t instance =
+        g_instance_counter.fetch_add(1, std::memory_order_relaxed);
+    RpcClientOptions client_options;
+    client_options.deadline_ms = options_.remote.rpc_deadline_ms;
+    client_options.max_retries = options_.remote.rpc_max_retries;
+    client_options.backoff_ms = options_.remote.rpc_backoff_ms;
+    for (ShardId shard = 0; shard < assignment_.num_shards; ++shard) {
+      for (uint32_t replica = 0; replica < options_.num_replicas; ++replica) {
+        auto worker = std::make_unique<Worker>();
+        worker->shard = shard;
+        worker->replica = replica;
+        worker->socket_path = socket_dir + "/kspdg-" +
+                              std::to_string(static_cast<long>(getpid())) +
+                              "-" + std::to_string(instance) + "-s" +
+                              std::to_string(shard) + "r" +
+                              std::to_string(replica) + ".sock";
+        worker->client =
+            std::make_unique<RpcClient>(worker->socket_path, client_options);
+        // Per-replica read share plus callbacks over the client's
+        // (monotonic, see RpcClient) transport atomics — the registry is
+        // the export surface, the client stays the owner.
+        const MetricLabels labels = {{"shard", std::to_string(shard)},
+                                     {"replica", std::to_string(replica)}};
+        worker->reads = metrics.GetCounter("reads_by_replica_total", labels);
+        RpcClient* client = worker->client.get();
+        metrics.AddCounterCallback("rpc_calls_total", labels,
+                                   [client] { return client->calls(); });
+        metrics.AddCounterCallback("rpc_retries_total", labels,
+                                   [client] { return client->retries(); });
+        metrics.AddCounterCallback(
+            "rpc_deadline_expired_total", labels,
+            [client] { return client->deadline_expired(); });
+        metrics.AddCounterCallback("rpc_bytes_sent_total", labels,
+                                   [client] { return client->bytes_sent(); });
+        metrics.AddCounterCallback(
+            "rpc_bytes_received_total", labels,
+            [client] { return client->bytes_received(); });
+        Worker* raw = worker.get();
+        metrics.AddGaugeCallback("worker_alive", labels, [raw] {
+          return raw->alive.load(std::memory_order_acquire) ? 1 : 0;
+        });
+        metrics.AddGaugeCallback("replica_epoch", labels, [raw] {
+          return static_cast<int64_t>(
+              raw->epoch.load(std::memory_order_relaxed));
+        });
+        metrics.AddCounterCallback("replica_catchups_total", labels, [raw] {
+          return raw->catchups.load(std::memory_order_relaxed);
+        });
+        workers_.push_back(std::move(worker));
+      }
+    }
+    metrics.AddCounterCallback("worker_restarts_total", {}, [this] {
+      uint64_t restarts = 0;
+      for (const std::unique_ptr<Worker>& worker : workers_) {
+        restarts += worker->restarts.load(std::memory_order_relaxed);
+      }
+      return restarts;
+    });
+    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    prepare_pool_ = std::make_unique<ThreadPool>(
+        static_cast<unsigned>(std::min<size_t>(workers_.size(), hw)));
   }
 
-  /// First RPC/protocol failure of the current query (OK if none). The
-  /// caller must check this after Solve and discard the result on error.
-  const Status& error() const { return error_; }
-
-  size_t ShardsTouched() const {
-    size_t n = 0;
-    for (char touched : shard_touched_) n += touched != 0;
-    return n;
+  /// Shuts the workers down (graceful Shutdown RPC first, SIGKILL after a
+  /// grace period) and reaps every child process. The core drains its
+  /// submission queue before destroying its backend.
+  ~ReplicaFleet() override {
+    for (std::unique_ptr<Worker>& worker : workers_) StopWorker(*worker);
   }
 
-  PartialResult ComputePartials(VertexId x, VertexId y,
-                                size_t depth) override {
-    PartialResult failed;
-    failed.exhausted = true;  // stop the depth schedule; the query is lost
-    if (!error_.ok()) return failed;
-    const Partition& partition = service_.dtlp_->partition();
-    std::vector<std::pair<ShardId, std::vector<SubgraphId>>> groups;
-    for (SubgraphId sgid : partition.SubgraphsContainingBoth(x, y)) {
-      ShardId shard = service_.assignment_.shard_of_subgraph[sgid];
-      auto it =
-          std::find_if(groups.begin(), groups.end(),
-                       [shard](const auto& g) { return g.first == shard; });
-      if (it == groups.end()) {
-        groups.push_back({shard, {sgid}});
-      } else {
-        it->second.push_back(sgid);
-      }
+  /// Spawns every worker and ships it the graph. On failure the destructor
+  /// reaps the workers already started.
+  Status Start() {
+    worker_binary_ = ResolveWorkerBinary(options_.remote.worker_binary);
+    if (access(worker_binary_.c_str(), X_OK) != 0) {
+      return Status::InvalidArgument(
+          "shard_worker binary not executable at '" + worker_binary_ +
+          "' (set RemoteWorkerOptions::worker_binary or KSPDG_WORKER_BIN)");
     }
-    std::vector<SubgraphPartials> gathered;
-    size_t fresh_runs = 0;
-    const uint64_t key = PairKey(x, y);
-    for (const auto& [shard_id, owned] : groups) {
-      const ShardSlice& slice = *service_.slices_[shard_id];
-      shard_touched_[shard_id] = 1;
-      ShardCache& cache = caches_[shard_id];
-      // Flush against the shard's weights stamp (see ShardPartialProvider:
-      // a batch that never touched this shard leaves its cache warm). The
-      // stamp is replica-shared — every replica serves identical bytes.
-      const uint64_t weights_epoch =
-          slice.weights_epoch.load(std::memory_order_acquire);
-      if (cache.epoch != weights_epoch) {
-        if (!cache.entries.empty()) {
-          slice.cache_flushes.Increment();
-          cache.entries.clear();
-        }
-        cache.epoch = weights_epoch;
-      }
-      if (const CacheEntry* hit = cache.Find(key, depth)) {
-        slice.cache_hits.Increment();
-        gathered.insert(gathered.end(), hit->lists.begin(), hit->lists.end());
-        continue;
-      }
-      CacheEntry entry;
-      entry.depth = depth;
-      Status fetched = FetchFromShard(shard_id, owned, x, y, depth, &entry);
-      if (!fetched.ok()) {
-        error_ = std::move(fetched);
-        return failed;
-      }
-      fresh_runs += owned.size();
-      entry.exhausted = true;
-      for (const SubgraphPartials& list : entry.lists) {
-        if (list.paths.size() >= depth) entry.exhausted = false;
-      }
-      gathered.insert(gathered.end(), entry.lists.begin(), entry.lists.end());
-      if (max_cached_pairs_ != 0 &&
-          (cache.entries.size() < max_cached_pairs_ ||
-           cache.entries.count(key) != 0)) {
-        cache.entries[key].push_back(std::move(entry));
-      } else {
-        slice.cache_skips.Increment();
-      }
+    for (std::unique_ptr<Worker>& worker : workers_) {
+      KSPDG_RETURN_NOT_OK(SpawnAndLoadWorker(*worker));
     }
-    PartialResult result = MergeSubgraphPartials(std::move(gathered), depth);
-    result.yen_runs = fresh_runs;
-    if (groups.size() == 1) {
-      service_.direct_partials_.Increment();
-    } else if (groups.size() > 1) {
-      service_.scattered_partials_.Increment();
-    }
-    return result;
+    return Status::OK();
   }
 
- private:
-  struct CacheEntry {
-    size_t depth = 0;
-    bool exhausted = false;
-    std::vector<SubgraphPartials> lists;
-  };
-
-  struct ShardCache {
-    uint64_t epoch = 0;
-    std::unordered_map<uint64_t, std::vector<CacheEntry>> entries;
-
-    const CacheEntry* Find(uint64_t key, size_t depth) const {
-      auto it = entries.find(key);
-      if (it == entries.end()) return nullptr;
-      for (const CacheEntry& entry : it->second) {
-        if (entry.depth == depth ||
-            (entry.exhausted && entry.depth <= depth)) {
-          return &entry;
-        }
-      }
-      return nullptr;
-    }
-  };
-
-  /// Routes one fetch across the shard's replica set: round-robin start,
-  /// skip replicas that are dead or lagging the pinned epoch, fail over on
-  /// transport errors. Succeeds as long as ANY replica can serve.
-  Status FetchFromShard(ShardId shard_id,
-                        const std::vector<SubgraphId>& owned, VertexId x,
-                        VertexId y, size_t depth, CacheEntry* entry) {
-    const ShardSlice& slice = *service_.slices_[shard_id];
-    const uint32_t replicas = service_.options_.num_replicas;
-    const uint64_t pinned = pin_->epoch();
+  // The fetch starts at the shard's round-robin cursor and walks the
+  // replica set, skipping replicas that are dead or lagging the pinned
+  // epoch and failing over on transport errors. Succeeds as long as ANY
+  // replica can serve.
+  Status FetchPartials(ShardId shard, std::span<const SubgraphId> owned,
+                       VertexId x, VertexId y, size_t depth, uint64_t epoch,
+                       std::vector<SubgraphPartials>* lists) const override {
+    const uint32_t replicas = options_.num_replicas;
     const uint64_t start =
-        slice.next_replica.fetch_add(1, std::memory_order_relaxed);
+        next_replica_[shard].fetch_add(1, std::memory_order_relaxed);
+    PartialsRequest request;
+    request.epoch = epoch;
+    request.x = x;
+    request.y = y;
+    request.depth = depth;
+    request.sgids.assign(owned.begin(), owned.end());
+    const std::string payload = request.Encode();
     Status last_error;  // stays OK while every replica is merely skipped
     for (uint32_t i = 0; i < replicas; ++i) {
-      const Worker& worker = service_.WorkerAt(
-          shard_id, static_cast<uint32_t>((start + i) % replicas));
+      const Worker& worker =
+          WorkerAt(shard, static_cast<uint32_t>((start + i) % replicas));
       if (!worker.alive.load(std::memory_order_acquire)) continue;
       // A lagging replica (missed one or more epochs) is out of the read
       // rotation until it catches up; the worker-side epoch check would
       // reject the request anyway, this just skips the round trip.
-      if (worker.epoch.load(std::memory_order_acquire) != pinned) continue;
-      Status fetched = FetchFromWorker(worker, owned, x, y, depth, entry);
+      if (worker.epoch.load(std::memory_order_acquire) != epoch) continue;
+      Status fetched = FetchFromWorker(worker, payload, owned, lists);
       if (fetched.ok()) {
-        worker.partial_requests.Increment();
-        worker.yen_runs.Increment(owned.size());
         worker.reads.Increment();
         return Status::OK();
       }
@@ -245,10 +205,264 @@ class RemoteShardedRoutingService::RemotePartialProvider
     }
     if (last_error.ok()) {
       return Status::Unavailable(
-          "all replicas of shard " + std::to_string(shard_id) +
+          "all replicas of shard " + std::to_string(shard) +
           " are dead or lagging; the shard is unavailable until restarted");
     }
     return last_error;
+  }
+
+  // Phase one: fan the FULL batch out to every replica that is alive at the
+  // preceding epoch (each filters to its owned subgraphs with the same
+  // deterministic grouping). A failed prepare marks the replica dead (its
+  // reads fail over to siblings until restart) instead of failing or
+  // stalling the batch. A replica already lagging is skipped — prepares
+  // apply strictly in epoch order — and stays out of the read rotation
+  // until the next catch-up.
+  void Prepare(uint64_t epoch, std::span<const WeightUpdate> updates,
+               std::span<const uint64_t> updates_of_shard) override {
+    if (options_.remote.auto_restart) {
+      // Revive dead replicas and catch up lagging ones to the preceding
+      // epoch first, so they take part in this one instead of falling
+      // another batch behind. Best-effort: a replica that stays dead
+      // degrades to sibling reads (or per-query errors once the whole
+      // shard is dead), not this batch.
+      (void)RestartDeadWorkers();
+    }
+    EpochPrepareRequest prepare;
+    prepare.epoch = epoch;
+    prepare.updates.assign(updates.begin(), updates.end());
+    const std::string payload = prepare.Encode();
+    const auto& hook = options_.remote.before_prepare_hook;
+    prepare_pool_->ParallelFor(
+        workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
+          Worker& worker = *workers_[wi];
+          if (!worker.alive.load(std::memory_order_acquire)) return;
+          if (worker.epoch.load(std::memory_order_acquire) != epoch - 1) {
+            return;
+          }
+          // A dropped prepare models a lost RPC: the replica stays alive
+          // but silently misses this epoch (and leaves the read rotation
+          // via the epoch check until caught up).
+          if (hook && !hook(FaultPoint(worker, epoch))) return;
+          std::string reply_payload;
+          Status called;
+          {
+            MutexLock worker_lock(worker.mu);
+            called = worker.client->Call(
+                MessageType::kEpochPrepareRequest, payload,
+                MessageType::kEpochPrepareReply, &reply_payload,
+                options_.remote.apply_deadline_ms);
+          }
+          EpochPrepareReply reply;
+          if (called.ok()) {
+            called = EpochPrepareReply::Decode(reply_payload, &reply);
+          }
+          if (called.ok() && reply.epoch != epoch) {
+            called = Status::Internal("worker acknowledged the wrong epoch");
+          }
+          // The cross-check that catches a worker whose deterministic
+          // rebuild diverged from the coordinator's.
+          if (called.ok() &&
+              reply.updates_applied != updates_of_shard[worker.shard]) {
+            called = Status::Internal(
+                "worker " + std::to_string(worker.shard) + " replica " +
+                std::to_string(worker.replica) + " applied " +
+                std::to_string(reply.updates_applied) + " updates where the " +
+                "coordinator expected " +
+                std::to_string(updates_of_shard[worker.shard]) +
+                " (divergent shard state)");
+          }
+          if (called.ok()) {
+            worker.epoch.store(epoch, std::memory_order_release);
+          } else {
+            MarkDead(worker);
+          }
+        });
+  }
+
+  // The committed batch enters the replay log, then phase two sends
+  // best-effort commit acknowledgements (pure bookkeeping — a worker that
+  // misses one learns the epoch from its next prepare; a replica that
+  // skipped the prepare is skipped here too).
+  void Commit(uint64_t epoch, std::span<const WeightUpdate> updates) override {
+    history_.emplace_back(updates.begin(), updates.end());
+    if (history_.size() >= std::max<size_t>(1, options_.max_history_batches)) {
+      // Bound the retained history with a checkpoint: snapshot the
+      // committed master weights and truncate the log. A replica restarting
+      // later loads this snapshot and replays only the batches committed
+      // after it.
+      checkpoint_graph_ = graph_;
+      checkpoint_epoch_ = epoch;
+      history_.clear();
+    }
+    EpochCommitRequest commit;
+    commit.epoch = epoch;
+    const std::string payload = commit.Encode();
+    const auto& hook = options_.remote.before_commit_hook;
+    prepare_pool_->ParallelFor(
+        workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
+          Worker& worker = *workers_[wi];
+          if (!worker.alive.load(std::memory_order_acquire)) return;
+          if (worker.epoch.load(std::memory_order_acquire) != epoch) return;
+          if (hook && !hook(FaultPoint(worker, epoch))) return;
+          std::string reply_payload;
+          Status called;
+          {
+            MutexLock worker_lock(worker.mu);
+            called = worker.client->Call(
+                MessageType::kEpochCommitRequest, payload,
+                MessageType::kEpochCommitReply, &reply_payload);
+          }
+          if (!called.ok()) MarkDead(worker);
+        });
+  }
+
+  /// See RemoteShardedRoutingService::RestartDeadWorkers; the caller holds
+  /// the global exclusive lock.
+  Status RestartDeadWorkers() {
+    // A worker that crashed without a failed RPC still looks alive; a cheap
+    // ping flushes silent deaths out (and refreshes each survivor's
+    // reported epoch) before we decide who needs reviving or catching up.
+    for (std::unique_ptr<Worker>& worker : workers_) {
+      if (worker->alive.load(std::memory_order_acquire)) {
+        (void)HealthCheck(*worker);
+      }
+    }
+    const uint64_t committed = CommittedEpoch();
+    Status first_failure = Status::OK();
+    for (std::unique_ptr<Worker>& worker : workers_) {
+      if (worker->alive.load(std::memory_order_acquire)) {
+        // Alive but lagging (it missed prepares — dropped RPCs, or revived
+        // after the fact): replay it back in place, no respawn needed.
+        if (worker->epoch.load(std::memory_order_acquire) < committed) {
+          Status caught = CatchUpWorker(*worker);
+          if (!caught.ok() && first_failure.ok()) {
+            first_failure = std::move(caught);
+          }
+        }
+        continue;
+      }
+      // Reap the previous incarnation (SIGKILL is a no-op if it already
+      // exited; the waitpid prevents zombies either way).
+      pid_t pid = worker->pid.load(std::memory_order_relaxed);
+      if (pid > 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+        worker->pid.store(-1, std::memory_order_relaxed);
+      }
+      worker->client->Disconnect();
+      Status spawned = SpawnAndLoadWorker(*worker);
+      if (spawned.ok()) {
+        worker->restarts.fetch_add(1, std::memory_order_relaxed);
+        // A respawn past epoch 0 replayed history to rejoin the rotation —
+        // that is a catch-up in the replication sense.
+        if (committed > 0) {
+          worker->catchups.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else if (first_failure.ok()) {
+        first_failure = std::move(spawned);
+      }
+    }
+    if (!first_failure.ok()) {
+      return Status::Unavailable("worker restart failed: " +
+                                 first_failure.ToString());
+    }
+    return Status::OK();
+  }
+
+  /// Merges every worker's registry into `fleet` (see
+  /// RemoteShardedRoutingService::Metrics).
+  void MergeWorkerMetrics(MetricsSnapshot* fleet) const {
+    for (const std::unique_ptr<Worker>& worker : workers_) {
+      if (worker->alive.load(std::memory_order_acquire)) {
+        // Refreshes the cached snapshot on success; a failed ping marks the
+        // worker dead and the cache below still provides its last state.
+        (void)HealthCheck(*worker);
+      }
+      MetricsSnapshot worker_metrics;
+      {
+        MutexLock metrics_lock(worker->metrics_mu);
+        if (!worker->has_metrics) continue;
+        worker_metrics = worker->last_metrics;
+      }
+      worker_metrics.AddLabel("shard", std::to_string(worker->shard));
+      worker_metrics.AddLabel("replica", std::to_string(worker->replica));
+      fleet->Merge(worker_metrics);
+    }
+  }
+
+  std::vector<RemoteWorkerInfo> WorkerInfos() const {
+    std::vector<RemoteWorkerInfo> infos;
+    infos.reserve(workers_.size());
+    for (const std::unique_ptr<Worker>& worker : workers_) {
+      RemoteWorkerInfo info;
+      info.shard = worker->shard;
+      info.replica = worker->replica;
+      info.pid = worker->pid.load(std::memory_order_relaxed);
+      info.socket_path = worker->socket_path;
+      info.alive = worker->alive.load(std::memory_order_acquire);
+      info.epoch = worker->epoch.load(std::memory_order_relaxed);
+      info.restarts = worker->restarts.load(std::memory_order_relaxed);
+      info.catchups = worker->catchups.load(std::memory_order_relaxed);
+      info.reads = worker->reads.value();
+      infos.push_back(std::move(info));
+    }
+    return infos;
+  }
+
+  uint32_t num_replicas() const { return options_.num_replicas; }
+  /// Callers hold the global epoch lock (shared is enough).
+  uint64_t checkpoint_epoch() const { return checkpoint_epoch_; }
+  size_t history_size() const { return history_.size(); }
+
+ private:
+  /// One replica worker process: transport handle, liveness, and its read
+  /// share. `mu` serialises calls on the single connection; `pid` is
+  /// written only under the coordinator's global exclusive lock (or during
+  /// Create); `epoch` is additionally refreshed from ping replies, and both
+  /// are read through atomics for monitoring and read routing.
+  struct Worker {
+    ShardId shard = kInvalidShard;
+    uint32_t replica = 0;
+    std::string socket_path;
+    std::atomic<pid_t> pid{-1};
+    std::unique_ptr<RpcClient> client;
+    /// Serialises RPCs on this worker's connection (several batch-pool
+    /// threads may need the same worker).
+    mutable Mutex mu{"ReplicaFleet::Worker::mu"};
+    /// Mutable: the const query path marks a worker dead on RPC failure.
+    mutable std::atomic<bool> alive{false};
+    /// Mutable: health checks on the const query/scrape paths refresh it
+    /// from the worker's own ping report.
+    mutable std::atomic<uint64_t> epoch{0};
+    std::atomic<uint64_t> restarts{0};
+    std::atomic<uint64_t> catchups{0};
+    /// reads_by_replica_total{shard, replica}.
+    Counter reads;
+    /// Last snapshot this worker shipped back in a ping reply (the
+    /// fallback when the worker is unreachable at scrape time). Guarded by
+    /// metrics_mu, never by `mu` — caching must not serialise with RPCs.
+    mutable Mutex metrics_mu{"ReplicaFleet::Worker::metrics_mu"};
+    mutable MetricsSnapshot last_metrics GUARDED_BY(metrics_mu);
+    mutable bool has_metrics GUARDED_BY(metrics_mu) = false;
+  };
+
+  Worker& WorkerAt(ShardId shard, uint32_t replica) const {
+    return *workers_[static_cast<size_t>(shard) * options_.num_replicas +
+                     replica];
+  }
+
+  uint64_t CommittedEpoch() const {
+    return checkpoint_epoch_ + history_.size();
+  }
+
+  static ReplicaFaultPoint FaultPoint(const Worker& worker, uint64_t epoch) {
+    return {worker.shard, worker.replica,
+            worker.pid.load(std::memory_order_relaxed), epoch};
+  }
+
+  static void MarkDead(const Worker& worker) {
+    worker.alive.store(false, std::memory_order_release);
   }
 
   /// One partials round trip to `worker`, validated. A transport or
@@ -256,26 +470,14 @@ class RemoteShardedRoutingService::RemotePartialProvider
   /// until restarted, and later fetches skip it on the alive flag instead
   /// of re-timing-out. An epoch-mismatch rejection only means the replica
   /// is lagging: it stays alive for catch-up while its siblings serve.
-  Status FetchFromWorker(const Worker& worker,
-                         const std::vector<SubgraphId>& owned, VertexId x,
-                         VertexId y, size_t depth, CacheEntry* entry) {
-    if (!worker.alive.load(std::memory_order_acquire)) {
-      return Status::Unavailable(
-          "shard worker " + std::to_string(worker.shard) + " replica " +
-          std::to_string(worker.replica) + " is dead");
-    }
-    PartialsRequest request;
-    request.epoch = pin_->epoch();
-    request.x = x;
-    request.y = y;
-    request.depth = depth;
-    request.sgids = owned;
+  Status FetchFromWorker(const Worker& worker, const std::string& payload,
+                         std::span<const SubgraphId> owned,
+                         std::vector<SubgraphPartials>* lists) const {
     std::string reply_payload;
     Status called;
     {
       MutexLock lock(worker.mu);
-      called = worker.client->Call(MessageType::kPartialsRequest,
-                                   request.Encode(),
+      called = worker.client->Call(MessageType::kPartialsRequest, payload,
                                    MessageType::kPartialsReply,
                                    &reply_payload);
     }
@@ -287,965 +489,294 @@ class RemoteShardedRoutingService::RemotePartialProvider
           std::to_string(reply.lists.size()) + " partial lists for " +
           std::to_string(owned.size()) + " requested subgraphs");
     }
-    if (called.ok()) {
-      for (size_t i = 0; i < owned.size(); ++i) {
-        if (reply.lists[i].sgid != owned[i]) {
-          called = Status::Internal(
-              "worker " + std::to_string(worker.shard) +
-              " returned partials for the wrong subgraph");
-          break;
-        }
+    for (size_t i = 0; called.ok() && i < owned.size(); ++i) {
+      if (reply.lists[i].sgid != owned[i]) {
+        called = Status::Internal("worker " + std::to_string(worker.shard) +
+                                  " returned partials for the wrong subgraph");
       }
     }
     if (!called.ok()) {
-      if (called.code() != StatusCode::kFailedPrecondition) {
-        service_.MarkWorkerDead(worker);
-      }
+      if (called.code() != StatusCode::kFailedPrecondition) MarkDead(worker);
       return called;
     }
-    entry->lists = std::move(reply.lists);
+    std::move(reply.lists.begin(), reply.lists.end(),
+              std::back_inserter(*lists));
     return Status::OK();
   }
 
-  const RemoteShardedRoutingService& service_;
-  const size_t max_cached_pairs_;
-  const EpochCoordinator::ReadPin* pin_ = nullptr;
-  std::vector<ShardCache> caches_;
-  std::vector<char> shard_touched_;
-  Status error_;
-};
-
-RemoteShardedRoutingService::BatchWorker::BatchWorker() = default;
-RemoteShardedRoutingService::BatchWorker::BatchWorker(BatchWorker&&) noexcept =
-    default;
-RemoteShardedRoutingService::BatchWorker&
-RemoteShardedRoutingService::BatchWorker::operator=(BatchWorker&&) noexcept =
-    default;
-RemoteShardedRoutingService::BatchWorker::~BatchWorker() = default;
-
-Result<std::unique_ptr<RemoteShardedRoutingService>>
-RemoteShardedRoutingService::Create(Graph graph,
-                                    RemoteShardedRoutingServiceOptions options) {
-  KSPDG_RETURN_NOT_OK(options.defaults.Validate());
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  if (options.num_replicas == 0) {
-    return Status::InvalidArgument("num_replicas must be >= 1");
-  }
-  if (options.max_history_batches == 0) options.max_history_batches = 1;
-  // Heap-allocate before building the DTLP: the index keeps a pointer to
-  // the service-owned graph.
-  std::unique_ptr<RemoteShardedRoutingService> service(
-      new RemoteShardedRoutingService(std::move(graph), std::move(options)));
-  // Replay source for worker (re)starts: a restarted worker must re-derive
-  // the exact incrementally-maintained state of its peers, so it loads the
-  // latest checkpoint and replays the retained history. Until the first
-  // checkpoint that is the pristine Create-time graph at epoch 0. (Safe
-  // because the partition is weight-independent and worker partials read
-  // only subgraph weight copies: replaying from a checkpoint lands on the
-  // same bytes as replaying from scratch.)
-  service->checkpoint_graph_ = service->graph_;
-  service->checkpoint_epoch_ = 0;
-  Result<std::unique_ptr<Dtlp>> dtlp =
-      Dtlp::Build(service->graph_, service->options_.dtlp);
-  if (!dtlp.ok()) return dtlp.status();
-  service->dtlp_ = std::move(dtlp).value();
-  if (service->options_.enable_cands) {
-    Result<std::unique_ptr<CandsIndex>> cands =
-        BuildCandsIndex(service->graph_, service->options_.dtlp);
-    if (!cands.ok()) return cands.status();
-    service->cands_ = std::move(cands).value();
-  }
-  Result<ShardAssignment> assignment = AssignShards(
-      service->dtlp_->partition(), service->options_.num_shards);
-  if (!assignment.ok()) return assignment.status();
-  service->assignment_ = std::move(assignment).value();
-  service->registry_ = SolverRegistry::Default();
-  service->epochs_ =
-      std::make_unique<EpochCoordinator>(service->assignment_.num_shards);
-  const size_t fleet_size = static_cast<size_t>(service->assignment_.num_shards) *
-                            service->options_.num_replicas;
-  service->apply_pool_ = std::make_unique<ThreadPool>(
-      ResolveApplyThreads(service->options_.apply_threads, fleet_size));
-  service->batch_pool_ = std::make_unique<ThreadPool>(
-      DefaultBatchThreads(service->options_.batch_threads));
-
-  service->worker_binary_ =
-      ResolveWorkerBinary(service->options_.remote.worker_binary);
-  if (access(service->worker_binary_.c_str(), X_OK) != 0) {
-    return Status::InvalidArgument(
-        "shard_worker binary not executable at '" + service->worker_binary_ +
-        "' (set RemoteWorkerOptions::worker_binary or KSPDG_WORKER_BIN)");
-  }
-  const std::string socket_dir =
-      ResolveSocketDir(service->options_.remote.socket_dir);
-  const uint64_t instance =
-      g_instance_counter.fetch_add(1, std::memory_order_relaxed);
-  RpcClientOptions client_options;
-  client_options.deadline_ms = service->options_.remote.rpc_deadline_ms;
-  client_options.max_retries = service->options_.remote.rpc_max_retries;
-  client_options.backoff_ms = service->options_.remote.rpc_backoff_ms;
-  for (ShardId shard = 0; shard < service->assignment_.num_shards; ++shard) {
-    // Replica-shared per-shard state: the cache telemetry keeps its
-    // {shard} label (the caches are per shard), and shard_epoch exports
-    // the coordinator's published per-shard epoch.
-    auto slice = std::make_unique<ShardSlice>();
-    const MetricLabels shard_labels = {{"shard", std::to_string(shard)}};
-    slice->cache_hits =
-        service->metrics_.GetCounter("partial_cache_hits_total", shard_labels);
-    slice->cache_skips =
-        service->metrics_.GetCounter("partial_cache_skips_total", shard_labels);
-    slice->cache_flushes = service->metrics_.GetCounter(
-        "partial_cache_flushes_total", shard_labels);
-    service->metrics_.AddGaugeCallback(
-        "shard_epoch", shard_labels,
-        [epochs = service->epochs_.get(), shard] {
-          return static_cast<int64_t>(epochs->shard(shard));
-        });
-    service->slices_.push_back(std::move(slice));
-    for (uint32_t replica = 0; replica < service->options_.num_replicas;
-         ++replica) {
-      auto worker = std::make_unique<Worker>();
-      worker->shard = shard;
-      worker->replica = replica;
-      worker->socket_path = socket_dir + "/kspdg-" +
-                            std::to_string(static_cast<long>(getpid())) + "-" +
-                            std::to_string(instance) + "-s" +
-                            std::to_string(shard) + "r" +
-                            std::to_string(replica) + ".sock";
-      worker->client =
-          std::make_unique<RpcClient>(worker->socket_path, client_options);
-      // Per-replica serving counters plus callbacks over the client's
-      // (monotonic, see RpcClient) transport atomics — the registry is the
-      // export surface, the client stays the owner.
-      const MetricLabels labels = {{"shard", std::to_string(shard)},
-                                   {"replica", std::to_string(replica)}};
-      worker->partial_requests =
-          service->metrics_.GetCounter("partial_requests_total", labels);
-      worker->yen_runs =
-          service->metrics_.GetCounter("yen_runs_total", labels);
-      worker->reads =
-          service->metrics_.GetCounter("reads_by_replica_total", labels);
-      RpcClient* client = worker->client.get();
-      service->metrics_.AddCounterCallback(
-          "rpc_calls_total", labels, [client] { return client->calls(); });
-      service->metrics_.AddCounterCallback(
-          "rpc_retries_total", labels, [client] { return client->retries(); });
-      service->metrics_.AddCounterCallback(
-          "rpc_deadline_expired_total", labels,
-          [client] { return client->deadline_expired(); });
-      service->metrics_.AddCounterCallback(
-          "rpc_bytes_sent_total", labels,
-          [client] { return client->bytes_sent(); });
-      service->metrics_.AddCounterCallback(
-          "rpc_bytes_received_total", labels,
-          [client] { return client->bytes_received(); });
-      Worker* raw = worker.get();
-      service->metrics_.AddGaugeCallback(
-          "worker_alive", labels, [raw] {
-            return raw->alive.load(std::memory_order_acquire) ? 1 : 0;
-          });
-      service->metrics_.AddGaugeCallback(
-          "replica_epoch", labels, [raw] {
-            return static_cast<int64_t>(
-                raw->epoch.load(std::memory_order_relaxed));
-          });
-      service->metrics_.AddCounterCallback(
-          "replica_catchups_total", labels, [raw] {
-            return raw->catchups.load(std::memory_order_relaxed);
-          });
-      service->workers_.push_back(std::move(worker));
-    }
-  }
-  service->svc_metrics_.Init(service->metrics_, service->registry_.Names());
-  service->single_shard_queries_ =
-      service->metrics_.GetCounter("single_shard_queries_total");
-  service->cross_shard_queries_ =
-      service->metrics_.GetCounter("cross_shard_queries_total");
-  service->direct_partials_ =
-      service->metrics_.GetCounter("direct_partial_requests_total");
-  service->scattered_partials_ =
-      service->metrics_.GetCounter("scattered_partial_requests_total");
-  service->partial_rpc_errors_ =
-      service->metrics_.GetCounter("partial_rpc_errors_total");
-  service->metrics_.AddCounterCallback(
-      "worker_restarts_total", {}, [svc = service.get()] {
-        uint64_t restarts = 0;
-        for (const std::unique_ptr<Worker>& w : svc->workers_) {
-          restarts += w->restarts.load(std::memory_order_relaxed);
-        }
-        return restarts;
-      });
-  service->epochs_->global_lock().InstrumentWriter(
-      service->metrics_.GetCounter("epoch_writer_drains_total"),
-      service->metrics_.GetHistogram("epoch_writer_wait_micros", {},
-                                     LatencyBucketsMicros()));
-  service->metrics_.AddGaugeCallback(
-      "epoch", {}, [epochs = service->epochs_.get()] {
-        return static_cast<int64_t>(epochs->global());
-      });
-
-  // Providers size their caches off workers_, so build them after the fleet.
-  {
-    MutexLock batch_guard(service->batch_mu_);
-    service->batch_workers_.reserve(service->batch_pool_->num_threads());
-    for (unsigned w = 0; w < service->batch_pool_->num_threads(); ++w) {
-      BatchWorker worker;
-      worker.provider = std::make_unique<RemotePartialProvider>(*service);
-      service->batch_workers_.push_back(std::move(worker));
-    }
-  }
-  SubmissionQueueMetrics queue_metrics;
-  queue_metrics.enqueue_blocked_total =
-      service->metrics_.GetCounter("submission_queue_enqueue_blocked_total");
-  queue_metrics.enqueue_block_micros = service->metrics_.GetHistogram(
-      "submission_queue_enqueue_block_micros", {}, LatencyBucketsMicros());
-  queue_metrics.shed_deadline_total =
-      service->metrics_.GetCounter("submission_queue_shed_deadline_total");
-  queue_metrics.shed_quota_total =
-      service->metrics_.GetCounter("submission_queue_shed_quota_total");
-  AdmissionOptions admission;
-  admission.per_tenant_quota = service->options_.per_tenant_quota;
-  service->submit_queue_ = std::make_unique<SubmissionQueue>(
-      service->options_.submit_queue_capacity, /*num_workers=*/1,
-      std::move(queue_metrics), admission);
-  service->metrics_.AddGaugeCallback(
-      "submission_queue_depth", {}, [queue = service->submit_queue_.get()] {
-        return static_cast<int64_t>(queue->pending());
-      });
-  for (RequestPriority priority :
-       {RequestPriority::kInteractive, RequestPriority::kNormal,
-        RequestPriority::kBatch}) {
-    service->metrics_.AddGaugeCallback(
-        "submission_queue_depth_by_priority",
-        {{"priority", PriorityName(priority)}},
-        [queue = service->submit_queue_.get(), priority] {
-          return static_cast<int64_t>(queue->pending(priority));
-        });
-  }
-  service->metrics_.AddCounterCallback(
-      "submission_queue_submitted_total", {},
-      [queue = service->submit_queue_.get()] { return queue->submitted(); });
-  service->metrics_.AddCounterCallback(
-      "submission_queue_completed_total", {},
-      [queue = service->submit_queue_.get()] { return queue->completed(); });
-
-  // Spawn last: on any failure the service destructor reaps the workers
-  // already started.
-  for (std::unique_ptr<Worker>& worker : service->workers_) {
-    KSPDG_RETURN_NOT_OK(service->SpawnAndLoadWorker(*worker));
-  }
-  return service;
-}
-
-RemoteShardedRoutingService::~RemoteShardedRoutingService() {
-  // Drain accepted async batches while the fleet still answers partials.
-  submit_queue_.reset();
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    if (worker != nullptr) StopWorker(*worker);
-  }
-}
-
-// Ships the checkpoint graph to the worker process (which rebuilds the
-// partition + index deterministically and resets to checkpoint_epoch_) and
-// cross-checks the rebuilt ownership against the coordinator's.
-Status RemoteShardedRoutingService::LoadCheckpoint(Worker& worker) const {
-  LoadGraphRequest load = LoadGraphRequest::FromGraph(
-      checkpoint_graph_, worker.shard, assignment_.num_shards, options_.dtlp);
-  load.replica_id = worker.replica;
-  load.base_epoch = checkpoint_epoch_;
-  std::string reply_payload;
-  Status called;
-  {
-    MutexLock lock(worker.mu);
-    called = worker.client->Call(
-        MessageType::kLoadGraphRequest, load.Encode(),
-        MessageType::kLoadGraphReply, &reply_payload,
-        options_.remote.apply_deadline_ms);
-  }
-  LoadGraphReply loaded;
-  if (called.ok()) called = LoadGraphReply::Decode(reply_payload, &loaded);
-  if (called.ok() &&
-      (loaded.subgraphs_owned !=
-           assignment_.subgraphs_of_shard[worker.shard].size() ||
-       loaded.vertices_owned != assignment_.vertices_of_shard[worker.shard])) {
-    // The worker's deterministic rebuild disagreed with ours — nothing it
-    // answers can be trusted.
-    called = Status::Internal(
-        "worker " + std::to_string(worker.shard) +
-        " rebuilt a different shard assignment than the coordinator");
-  }
-  return called;
-}
-
-// Replays every retained batch with epoch > from_epoch in commit order;
-// prepares are idempotent, so a retry after a lost reply is safe.
-Status RemoteShardedRoutingService::ReplayRetainedHistory(
-    Worker& worker, uint64_t from_epoch) const {
-  Status called;
-  for (size_t b = 0; called.ok() && b < history_.size(); ++b) {
-    const uint64_t epoch = checkpoint_epoch_ + b + 1;
-    if (epoch <= from_epoch) continue;
-    EpochPrepareRequest prepare;
-    prepare.epoch = epoch;
-    prepare.updates = history_[b];
-    std::string prepare_reply;
+  // Ships the checkpoint graph to the worker process (which rebuilds the
+  // partition + index deterministically and resets to checkpoint_epoch_)
+  // and cross-checks the rebuilt ownership against the coordinator's.
+  Status LoadCheckpoint(Worker& worker) const {
+    LoadGraphRequest load = LoadGraphRequest::FromGraph(
+        checkpoint_graph_, worker.shard, assignment_.num_shards,
+        options_.dtlp);
+    load.replica_id = worker.replica;
+    load.base_epoch = checkpoint_epoch_;
+    std::string reply_payload;
+    Status called;
     {
       MutexLock lock(worker.mu);
       called = worker.client->Call(
-          MessageType::kEpochPrepareRequest, prepare.Encode(),
-          MessageType::kEpochPrepareReply, &prepare_reply,
+          MessageType::kLoadGraphRequest, load.Encode(),
+          MessageType::kLoadGraphReply, &reply_payload,
           options_.remote.apply_deadline_ms);
     }
-    EpochPrepareReply reply;
-    if (called.ok()) called = EpochPrepareReply::Decode(prepare_reply, &reply);
-  }
-  return called;
-}
-
-Status RemoteShardedRoutingService::SpawnAndLoadWorker(Worker& worker) const {
-  std::vector<std::string> args = {
-      worker_binary_, "--socket", worker.socket_path, "--idle-timeout-ms",
-      std::to_string(options_.remote.worker_idle_timeout_ms)};
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  int rc = posix_spawn(&pid, worker_binary_.c_str(), /*file_actions=*/nullptr,
-                       /*attrp=*/nullptr, argv.data(), environ);
-  if (rc != 0) {
-    return Status::Internal("posix_spawn(" + worker_binary_ +
-                            "): " + std::strerror(rc));
-  }
-  worker.pid.store(pid, std::memory_order_release);
-
-  // Bootstrap: ship the checkpoint (EnsureConnected inside the client keeps
-  // retrying the connect until the deadline, which covers startup), then
-  // replay the retained history so the worker re-derives the exact
-  // incremental index state every live replica has.
-  Status called = LoadCheckpoint(worker);
-  if (called.ok()) called = ReplayRetainedHistory(worker, checkpoint_epoch_);
-  if (!called.ok()) {
-    MarkWorkerDead(worker);
-    return called;
-  }
-  worker.epoch.store(checkpoint_epoch_ + history_.size(),
-                     std::memory_order_release);
-  // Conservative stamp: flush any cached partials derived from the previous
-  // incarnation (they would replay identically, but a flush is always safe).
-  slices_[worker.shard]->weights_epoch.store(epochs_->global(),
-                                             std::memory_order_release);
-  worker.alive.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-Status RemoteShardedRoutingService::CatchUpWorker(Worker& worker) const {
-  const uint64_t target = checkpoint_epoch_ + history_.size();
-  uint64_t at = worker.epoch.load(std::memory_order_acquire);
-  if (at >= target) return Status::OK();
-  Status called;
-  if (at < checkpoint_epoch_) {
-    // The replica fell behind the log truncation point: its missing epochs
-    // are no longer retained individually, so reload it from the
-    // checkpoint before replaying what is.
-    called = LoadCheckpoint(worker);
-    at = checkpoint_epoch_;
-  }
-  if (called.ok()) called = ReplayRetainedHistory(worker, at);
-  if (!called.ok()) {
-    MarkWorkerDead(worker);
-    return called;
-  }
-  worker.epoch.store(target, std::memory_order_release);
-  worker.catchups.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-bool RemoteShardedRoutingService::HealthCheckWorker(
-    const Worker& worker) const {
-  static std::atomic<uint64_t> nonce_source{1};
-  PingRequest ping;
-  ping.nonce = nonce_source.fetch_add(1, std::memory_order_relaxed);
-  std::string reply_payload;
-  Status called;
-  {
-    MutexLock lock(worker.mu);
-    called = worker.client->Call(MessageType::kPingRequest, ping.Encode(),
-                                 MessageType::kPingReply, &reply_payload);
-  }
-  PingReply pong;
-  if (called.ok()) called = PingReply::Decode(reply_payload, &pong);
-  if (called.ok() && pong.nonce != ping.nonce) {
-    called = Status::Internal("ping nonce mismatch");
-  }
-  if (called.ok() &&
-      (pong.shard_id != worker.shard || pong.replica_id != worker.replica)) {
-    called = Status::Internal("ping answered by the wrong worker identity");
-  }
-  if (!called.ok()) {
-    MarkWorkerDead(worker);
-    return false;
-  }
-  // The pong carries the worker's own epoch — the authoritative lag signal
-  // that takes a replica out of (or back into) the read rotation.
-  worker.epoch.store(pong.epoch, std::memory_order_release);
-  // Every successful ping refreshes the worker's cached metrics snapshot —
-  // the fleet-wide export falls back to it when the worker is unreachable.
-  MetricsSnapshot worker_metrics;
-  if (MetricsSnapshot::DecodeWire(pong.metrics_blob, &worker_metrics).ok()) {
-    MutexLock metrics_lock(worker.metrics_mu);
-    worker.last_metrics = std::move(worker_metrics);
-    worker.has_metrics = true;
-  }
-  return true;
-}
-
-MetricsSnapshot RemoteShardedRoutingService::Metrics() const {
-  MetricsSnapshot fleet = metrics_.Snapshot();
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->alive.load(std::memory_order_acquire)) {
-      // Refreshes the cached snapshot on success; a failed ping marks the
-      // worker dead and the cache below still provides its last state.
-      (void)HealthCheckWorker(*worker);
+    LoadGraphReply loaded;
+    if (called.ok()) called = LoadGraphReply::Decode(reply_payload, &loaded);
+    if (called.ok() &&
+        (loaded.subgraphs_owned !=
+             assignment_.subgraphs_of_shard[worker.shard].size() ||
+         loaded.vertices_owned !=
+             assignment_.vertices_of_shard[worker.shard])) {
+      // The worker's deterministic rebuild disagreed with ours — nothing it
+      // answers can be trusted.
+      called = Status::Internal(
+          "worker " + std::to_string(worker.shard) +
+          " rebuilt a different shard assignment than the coordinator");
     }
-    MetricsSnapshot worker_metrics;
-    bool have = false;
+    return called;
+  }
+
+  // Replays every retained batch with epoch > from_epoch in commit order;
+  // prepares are idempotent, so a retry after a lost reply is safe.
+  Status ReplayRetainedHistory(Worker& worker, uint64_t from_epoch) const {
+    Status called;
+    for (size_t b = 0; called.ok() && b < history_.size(); ++b) {
+      const uint64_t epoch = checkpoint_epoch_ + b + 1;
+      if (epoch <= from_epoch) continue;
+      EpochPrepareRequest prepare;
+      prepare.epoch = epoch;
+      prepare.updates = history_[b];
+      std::string prepare_reply;
+      {
+        MutexLock lock(worker.mu);
+        called = worker.client->Call(
+            MessageType::kEpochPrepareRequest, prepare.Encode(),
+            MessageType::kEpochPrepareReply, &prepare_reply,
+            options_.remote.apply_deadline_ms);
+      }
+      EpochPrepareReply reply;
+      if (called.ok()) {
+        called = EpochPrepareReply::Decode(prepare_reply, &reply);
+      }
+    }
+    return called;
+  }
+
+  /// Spawns the process for `worker` (which must not have a live child) and
+  /// ships it the checkpoint graph + the retained history replay. On
+  /// success the worker is alive at the committed epoch.
+  Status SpawnAndLoadWorker(Worker& worker) const {
+    std::vector<std::string> args = {
+        worker_binary_, "--socket", worker.socket_path, "--idle-timeout-ms",
+        std::to_string(options_.remote.worker_idle_timeout_ms)};
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid_t pid = -1;
+    int rc = posix_spawn(&pid, worker_binary_.c_str(), /*file_actions=*/nullptr,
+                         /*attrp=*/nullptr, argv.data(), environ);
+    if (rc != 0) {
+      return Status::Internal("posix_spawn(" + worker_binary_ +
+                              "): " + std::strerror(rc));
+    }
+    worker.pid.store(pid, std::memory_order_release);
+    // Bootstrap: ship the checkpoint (EnsureConnected inside the client
+    // keeps retrying the connect until the deadline, which covers startup),
+    // then replay the retained history so the worker re-derives the exact
+    // incremental index state every live replica has.
+    Status called = LoadCheckpoint(worker);
+    if (called.ok()) called = ReplayRetainedHistory(worker, checkpoint_epoch_);
+    if (!called.ok()) {
+      MarkDead(worker);
+      return called;
+    }
+    worker.epoch.store(CommittedEpoch(), std::memory_order_release);
+    worker.alive.store(true, std::memory_order_release);
+    return Status::OK();
+  }
+
+  /// Replays the retained history onto an alive-but-lagging worker (or
+  /// reloads it from the checkpoint when it fell behind the checkpoint
+  /// epoch) so it rejoins the read rotation at the committed epoch.
+  Status CatchUpWorker(Worker& worker) const {
+    const uint64_t target = CommittedEpoch();
+    uint64_t at = worker.epoch.load(std::memory_order_acquire);
+    if (at >= target) return Status::OK();
+    Status called;
+    if (at < checkpoint_epoch_) {
+      // The replica fell behind the log truncation point: its missing
+      // epochs are no longer retained individually, so reload it from the
+      // checkpoint before replaying what is.
+      called = LoadCheckpoint(worker);
+      at = checkpoint_epoch_;
+    }
+    if (called.ok()) called = ReplayRetainedHistory(worker, at);
+    if (!called.ok()) {
+      MarkDead(worker);
+      return called;
+    }
+    worker.epoch.store(target, std::memory_order_release);
+    worker.catchups.fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
+  }
+
+  /// Pings `worker`; marks it dead on failure.
+  bool HealthCheck(const Worker& worker) const {
+    static std::atomic<uint64_t> nonce_source{1};
+    PingRequest ping;
+    ping.nonce = nonce_source.fetch_add(1, std::memory_order_relaxed);
+    std::string reply_payload;
+    Status called;
     {
-      MutexLock metrics_lock(worker->metrics_mu);
-      if (worker->has_metrics) {
-        worker_metrics = worker->last_metrics;
-        have = true;
-      }
+      MutexLock lock(worker.mu);
+      called = worker.client->Call(MessageType::kPingRequest, ping.Encode(),
+                                   MessageType::kPingReply, &reply_payload);
     }
-    if (!have) continue;
-    worker_metrics.AddLabel("shard", std::to_string(worker->shard));
-    worker_metrics.AddLabel("replica", std::to_string(worker->replica));
-    fleet.Merge(worker_metrics);
+    PingReply pong;
+    if (called.ok()) called = PingReply::Decode(reply_payload, &pong);
+    if (called.ok() && pong.nonce != ping.nonce) {
+      called = Status::Internal("ping nonce mismatch");
+    }
+    if (called.ok() &&
+        (pong.shard_id != worker.shard || pong.replica_id != worker.replica)) {
+      called = Status::Internal("ping answered by the wrong worker identity");
+    }
+    if (!called.ok()) {
+      MarkDead(worker);
+      return false;
+    }
+    // The pong carries the worker's own epoch — the authoritative lag
+    // signal that takes a replica out of (or back into) the read rotation.
+    worker.epoch.store(pong.epoch, std::memory_order_release);
+    // Every successful ping refreshes the worker's cached metrics snapshot
+    // — the fleet-wide export falls back to it when the worker is
+    // unreachable.
+    MetricsSnapshot worker_metrics;
+    if (MetricsSnapshot::DecodeWire(pong.metrics_blob, &worker_metrics).ok()) {
+      MutexLock metrics_lock(worker.metrics_mu);
+      worker.last_metrics = std::move(worker_metrics);
+      worker.has_metrics = true;
+    }
+    return true;
   }
-  return fleet;
-}
 
-Status RemoteShardedRoutingService::RegisterSolver(
-    std::unique_ptr<KspSolver> solver) {
-  if (serving_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "RegisterSolver must run before the first query is served");
-  }
-  const std::string name(solver->name());
-  KSPDG_RETURN_NOT_OK(registry_.Register(std::move(solver)));
-  svc_metrics_.AddBackend(metrics_, name);
-  return Status::OK();
-}
-
-Status RemoteShardedRoutingService::RestartDeadWorkersLocked() {
-  // A worker that crashed without a failed RPC still looks alive; a cheap
-  // ping flushes silent deaths out (and refreshes each survivor's reported
-  // epoch) before we decide who needs reviving or catching up.
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->alive.load(std::memory_order_acquire)) {
-      (void)HealthCheckWorker(*worker);
+  /// Best-effort graceful shutdown + SIGKILL + reap of one worker process.
+  static void StopWorker(Worker& worker) {
+    if (worker.client != nullptr &&
+        worker.alive.load(std::memory_order_acquire)) {
+      // Graceful half: ask the worker to exit. Short deadline — SIGKILL
+      // below backs it up, and a dead worker should not stall teardown.
+      std::string reply_payload;
+      MutexLock lock(worker.mu);
+      (void)worker.client->Call(MessageType::kShutdownRequest, std::string(),
+                                MessageType::kShutdownReply, &reply_payload,
+                                /*deadline_ms_override=*/500);
     }
-  }
-  const uint64_t committed = epochs_->global();
-  Status first_failure = Status::OK();
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->alive.load(std::memory_order_acquire)) {
-      // Alive but lagging (it missed prepares — dropped RPCs, or revived
-      // after the fact): replay it back in place, no respawn needed.
-      if (worker->epoch.load(std::memory_order_acquire) < committed) {
-        Status caught = CatchUpWorker(*worker);
-        if (!caught.ok() && first_failure.ok()) {
-          first_failure = std::move(caught);
-        }
-      }
-      continue;
-    }
-    // Reap the previous incarnation (SIGKILL is a no-op if it already
-    // exited; the waitpid prevents zombies either way).
-    pid_t pid = worker->pid.load(std::memory_order_relaxed);
+    pid_t pid = worker.pid.load(std::memory_order_relaxed);
     if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      worker->pid.store(-1, std::memory_order_relaxed);
-    }
-    worker->client->Disconnect();
-    Status spawned = SpawnAndLoadWorker(*worker);
-    if (spawned.ok()) {
-      worker->restarts.fetch_add(1, std::memory_order_relaxed);
-      // A respawn past epoch 0 replayed history to rejoin the rotation —
-      // that is a catch-up in the replication sense.
-      if (committed > 0) {
-        worker->catchups.fetch_add(1, std::memory_order_relaxed);
+      bool reaped = false;
+      for (int i = 0; i < 50; ++i) {
+        int wstatus = 0;
+        pid_t r = waitpid(pid, &wstatus, WNOHANG);
+        if (r != 0) {  // exited (or already reaped — nothing left to do)
+          reaped = true;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
-    } else if (first_failure.ok()) {
-      first_failure = std::move(spawned);
+      if (!reaped) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+      }
+      worker.pid.store(-1, std::memory_order_relaxed);
     }
+    worker.alive.store(false, std::memory_order_release);
+    // The worker unlinks its socket on a graceful exit, but a SIGKILLed one
+    // cannot — remove it here so teardown never litters the socket dir.
+    if (!worker.socket_path.empty()) ::unlink(worker.socket_path.c_str());
   }
-  if (!first_failure.ok()) {
-    return Status::Unavailable("worker restart failed: " +
-                               first_failure.ToString());
+
+  /// The coordinator's master graph: the source of every checkpoint.
+  const Graph& graph_;
+  const ShardAssignment& assignment_;
+  const RemoteShardedRoutingServiceOptions options_;
+  /// Resolved worker binary path (see RemoteWorkerOptions::worker_binary).
+  std::string worker_binary_;
+  /// Latest checkpoint: a full copy of the graph as of checkpoint_epoch_
+  /// (the pristine Create-time graph at epoch 0 until the first checkpoint
+  /// is taken) — what a (re)spawned worker is loaded with before the
+  /// retained history is replayed onto it. Guarded by the global exclusive
+  /// lock, like everything below.
+  Graph checkpoint_graph_;
+  uint64_t checkpoint_epoch_ = 0;
+  /// Traffic batches committed after checkpoint_epoch_, in commit order —
+  /// history_[b] is the batch of epoch checkpoint_epoch_ + b + 1. Bounded
+  /// by max_history_batches (a new checkpoint truncates it).
+  std::vector<std::vector<WeightUpdate>> history_;
+  /// The fleet, shard-major: workers_[shard * num_replicas + replica].
+  std::vector<std::unique_ptr<Worker>> workers_;
+  /// Per-shard round-robin start offset for the next partial fetch.
+  mutable std::vector<std::atomic<uint64_t>> next_replica_;
+  /// Executes the prepare/commit fan-out (one thread per worker, capped at
+  /// the hardware thread count).
+  std::unique_ptr<ThreadPool> prepare_pool_;
+};
+
+Result<std::unique_ptr<RemoteShardedRoutingService>>
+RemoteShardedRoutingService::Create(
+    Graph graph, RemoteShardedRoutingServiceOptions options) {
+  if (options.num_replicas == 0) {
+    return Status::InvalidArgument("num_replicas must be >= 1");
   }
-  return Status::OK();
+  std::unique_ptr<RemoteShardedRoutingService> service(
+      new RemoteShardedRoutingService(std::move(graph), options));
+  RemoteShardedRoutingService* raw = service.get();
+  KSPDG_RETURN_NOT_OK(service->Init(
+      [raw, &options]() -> Result<std::unique_ptr<ShardBackend>> {
+        auto fleet = std::make_unique<ReplicaFleet>(
+            raw->graph(), raw->assignment(), raw->metrics_registry(),
+            std::move(options));
+        KSPDG_RETURN_NOT_OK(fleet->Start());
+        raw->fleet_ = fleet.get();
+        return std::unique_ptr<ShardBackend>(std::move(fleet));
+      }));
+  return service;
 }
 
 Status RemoteShardedRoutingService::RestartDeadWorkers() {
   // Exclusive: restarting swaps worker state under queries' feet otherwise.
-  EpochWriterLock lock(epochs_->global_lock());
-  return RestartDeadWorkersLocked();
+  EpochWriterLock lock(epochs().global_lock());
+  return fleet_->RestartDeadWorkers();
 }
 
-void RemoteShardedRoutingService::StopWorker(Worker& worker) {
-  if (worker.client != nullptr &&
-      worker.alive.load(std::memory_order_acquire)) {
-    // Graceful half: ask the worker to exit. Short deadline — SIGKILL below
-    // backs it up, and a dead worker should not stall teardown.
-    std::string reply_payload;
-    MutexLock lock(worker.mu);
-    (void)worker.client->Call(MessageType::kShutdownRequest, std::string(),
-                              MessageType::kShutdownReply, &reply_payload,
-                              /*deadline_ms_override=*/500);
-  }
-  pid_t pid = worker.pid.load(std::memory_order_relaxed);
-  if (pid > 0) {
-    bool reaped = false;
-    for (int i = 0; i < 50; ++i) {
-      int wstatus = 0;
-      pid_t r = waitpid(pid, &wstatus, WNOHANG);
-      if (r != 0) {  // exited (or already reaped — nothing left to do)
-        reaped = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (!reaped) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-    worker.pid.store(-1, std::memory_order_relaxed);
-  }
-  worker.alive.store(false, std::memory_order_release);
-  // The worker unlinks its socket on a graceful exit, but a SIGKILLed one
-  // cannot — remove it here so teardown never litters the socket dir.
-  if (!worker.socket_path.empty()) ::unlink(worker.socket_path.c_str());
-}
-
-Status RemoteShardedRoutingService::PrepareQuery(const RouteRequest& request,
-                                                 PreparedRoute* prepared) const {
-  return PrepareRoutingQuery(registry_, options_.defaults, graph_, request,
-                             prepared);
-}
-
-Result<RouteResponse> RemoteShardedRoutingService::Query(
-    const RouteRequest& request) const {
-  MarkServing();
-  PreparedRoute prepared;
-  Status status = PrepareQuery(request, &prepared);
-  if (!status.ok()) {
-    svc_metrics_.RecordQueryFailure(status);
-    return status;
-  }
-
-  RemotePartialProvider provider(*this);
-  SolverInput input;
-  input.graph = &graph_;
-  input.dtlp = dtlp_.get();
-  input.partials = &provider;  // DTLP-free backends ignore it
-  input.cands = cands_.get();
-  input.source = request.source;
-  input.target = request.target;
-  input.options = std::move(prepared.merged);
-
-  // Snapshot section: the read pin freezes the coordinator's master state
-  // AND excludes traffic applies, so every worker sits exactly at the
-  // pinned epoch for the pin's lifetime — the epoch stamp on each partials
-  // request turns any violation of that into an explicit error.
-  EpochCoordinator::ReadPin pin(*epochs_);
-  provider.BindPin(&pin);
-  provider.BeginQuery();
-  WallTimer timer;
-  Result<KspQueryResult> solved = prepared.solver->Solve(input);
-  if (!provider.error().ok()) {
-    // A partial fetch failed mid-solve: whatever the solver produced is
-    // untrustworthy. Degrade to the transport error, never a wrong answer.
-    svc_metrics_.RecordQueryFailure(provider.error());
-    partial_rpc_errors_.Increment();
-    return provider.error();
-  }
-  if (!solved.ok()) {
-    svc_metrics_.RecordQueryFailure(solved.status());
-    return solved.status();
-  }
-  RouteResponse response =
-      FinishRouteResponse(prepared.kind, prepared.requested_k,
-                          std::move(input.options), graph_.directed(),
-                          std::move(solved).value());
-  response.stats.solve_micros = timer.ElapsedMicros();
-  response.epoch = pin.epoch();
-  size_t touched = provider.ShardsTouched();
-  if (touched == 1) {
-    single_shard_queries_.Increment();
-  } else if (touched > 1) {
-    cross_shard_queries_.Increment();
-  }
-  svc_metrics_.RecordQuery(prepared.kind, response.backend,
-                           response.stats.solve_micros);
-  return response;
-}
-
-Result<RouteBatchResponse> RemoteShardedRoutingService::QueryBatch(
-    std::span<const RouteRequest> requests) const {
-  MarkServing();
-  RouteBatchResponse batch;
-  batch.items.resize(requests.size());
-
-  // Phase 1 (outside any lock): validate every request and resolve its
-  // backend; failures become per-item statuses, never a batch failure.
-  struct Prepared {
-    size_t index = 0;
-    PreparedRoute route;
-  };
-  std::vector<Prepared> work;
-  work.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Prepared prepared;
-    prepared.index = i;
-    Status status = PrepareQuery(requests[i], &prepared.route);
-    if (!status.ok()) {
-      batch.items[i].status = std::move(status);
-      continue;
-    }
-    work.push_back(std::move(prepared));
-  }
-
-  // Phase 2: group by backend so contiguous chunks share a solver.
-  std::stable_sort(work.begin(), work.end(),
-                   [](const Prepared& a, const Prepared& b) {
-                     return a.route.solver->name() < b.route.solver->name();
-                   });
-
-  // Phase 3 (snapshot section): ONE read pin covers every solve — see
-  // ShardedRoutingService::QueryBatch, whose structure this mirrors
-  // exactly; only the provider behind the seam differs.
-  MutexLock batch_guard(batch_mu_);
-  {
-    EpochCoordinator::ReadPin pin(*epochs_);
-    WallTimer timer;
-    const uint64_t epoch = pin.epoch();
-    batch.epoch = epoch;
-    if (arena_epoch_ != epoch) {
-      for (BatchWorker& worker : batch_workers_) worker.arena.OnSnapshotChange();
-      arena_epoch_ = epoch;
-    }
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(&pin);
-    // The pool threads do not hold batch_mu_ — they are handed disjoint
-    // worker slots while this thread keeps the whole batch section locked,
-    // which the analysis cannot see through the lambda. The raw pointer is
-    // the deliberate escape hatch.
-    BatchWorker* const pool_workers = batch_workers_.data();
-    size_t chunk = std::max<size_t>(
-        1, work.size() / (4 * size_t{batch_pool_->num_threads()}));
-    batch_pool_->ParallelFor(
-        work.size(), chunk, [&](unsigned worker_id, size_t j) {
-          Prepared& p = work[j];
-          BatchWorker& worker = pool_workers[worker_id];
-          SolverInput input;
-          input.graph = &graph_;
-          input.dtlp = dtlp_.get();
-          input.partials = worker.provider.get();
-          input.cands = cands_.get();
-          input.source = requests[p.index].source;
-          input.target = requests[p.index].target;
-          input.options = std::move(p.route.merged);
-          worker.provider->BeginQuery();
-          SolverScratch* scratch = p.route.solver->UsesPartialProvider()
-                                       ? nullptr
-                                       : worker.arena.Get(p.route.solver);
-          RouteBatchItem& item = batch.items[p.index];
-          WallTimer solve_timer;
-          Result<KspQueryResult> solved =
-              p.route.solver->Solve(input, scratch);
-          if (!worker.provider->error().ok()) {
-            item.status = worker.provider->error();
-            partial_rpc_errors_.Increment();
-            return;
-          }
-          if (!solved.ok()) {
-            item.status = solved.status();
-            return;
-          }
-          item.response = FinishRouteResponse(
-              p.route.kind, p.route.requested_k, std::move(input.options),
-              graph_.directed(), std::move(solved).value());
-          item.response.stats.solve_micros = solve_timer.ElapsedMicros();
-          item.response.epoch = epoch;
-          size_t touched = worker.provider->ShardsTouched();
-          if (touched == 1) {
-            single_shard_queries_.Increment();
-          } else if (touched > 1) {
-            cross_shard_queries_.Increment();
-          }
-          svc_metrics_.RecordQuery(p.route.kind, item.response.backend,
-                                   item.response.stats.solve_micros);
-        });
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(nullptr);
-    batch.batch_micros = timer.ElapsedMicros();
-  }
-
-  // Accepted items were recorded per solve (kind/backend/latency); the
-  // admission classification and the rejection/shed totals settle here.
-  svc_metrics_.FinalizeBatchAdmission(batch);
-  return batch;
-}
-
-BatchTicket RemoteShardedRoutingService::SubmitBatch(
-    std::vector<RouteRequest> requests, BatchCallback callback) const {
-  MarkServing();
-  return BatchTicket::SubmitTo(*submit_queue_, *this, std::move(requests),
-                               std::move(callback),
-                               svc_metrics_.admission_view());
-}
-
-Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
-    std::span<const WeightUpdate> updates) {
-  // Validate before taking any lock (mirrors the other services).
-  for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph_.NumEdges()) {
-      return Status::InvalidArgument(
-          "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph_.NumEdges()) +
-          " edges)");
-    }
-    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-      return Status::InvalidArgument("updated weights must be positive");
-    }
-  }
-
-  // Coordinator-side grouping: which shards the batch touches, and how many
-  // updates each worker SHOULD apply — the cross-check that catches a
-  // worker whose deterministic rebuild diverged from ours.
-  const Partition& partition = dtlp_->partition();
-  std::vector<size_t> updates_of_subgraph(dtlp_->NumSubgraphs(), 0);
-  std::vector<SubgraphId> touched;
-  for (const WeightUpdate& update : updates) {
-    SubgraphId sgid = partition.subgraph_of_edge[update.edge];
-    if (sgid == kInvalidSubgraph) continue;
-    if (updates_of_subgraph[sgid] == 0) touched.push_back(sgid);
-    ++updates_of_subgraph[sgid];
-  }
-  std::vector<char> shard_touched(assignment_.num_shards, 0);
-  std::vector<uint64_t> expected_of_shard(assignment_.num_shards, 0);
-  for (SubgraphId sgid : touched) {
-    ShardId shard = assignment_.shard_of_subgraph[sgid];
-    shard_touched[shard] = 1;
-    expected_of_shard[shard] += updates_of_subgraph[sgid];
-  }
-
-  // Exclusive snapshot section: drain every read pin, then move the master
-  // state and every replica to the next global epoch together.
-  EpochWriterLock lock(epochs_->global_lock());
-  if (options_.remote.auto_restart) {
-    // Revive dead replicas and catch up lagging ones first so they
-    // participate in this epoch instead of falling another batch behind.
-    // Best-effort: a replica that stays dead degrades to sibling reads (or
-    // per-query errors once the whole shard is dead), not this batch.
-    (void)RestartDeadWorkersLocked();
-  }
-  const uint64_t epoch = epochs_->BeginAdvance();
-
-  // Phase one: fan the FULL batch out to every replica that is alive at
-  // the preceding epoch (each filters to its owned subgraphs with the same
-  // deterministic grouping). The epoch is always published
-  // coordinator-side — the master state below is the source of truth, so a
-  // failed prepare marks the replica dead (its reads fail over to
-  // siblings until restart) instead of failing or stalling the batch. A
-  // replica already lagging is skipped — prepares apply strictly in epoch
-  // order — and stays out of the read rotation until the next catch-up.
-  EpochPrepareRequest prepare;
-  prepare.epoch = epoch;
-  prepare.updates.assign(updates.begin(), updates.end());
-  const std::string prepare_payload = prepare.Encode();
-  const auto& prepare_hook = options_.remote.before_prepare_hook;
-  apply_pool_->ParallelFor(
-      workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
-        Worker& worker = *workers_[wi];
-        if (!worker.alive.load(std::memory_order_acquire)) return;
-        if (worker.epoch.load(std::memory_order_acquire) != epoch - 1) return;
-        if (prepare_hook) {
-          ReplicaFaultPoint point{worker.shard, worker.replica,
-                                  worker.pid.load(std::memory_order_relaxed),
-                                  epoch};
-          // A dropped prepare models a lost RPC: the replica stays alive
-          // but silently misses this epoch (and leaves the read rotation
-          // via the epoch check until caught up).
-          if (!prepare_hook(point)) return;
-        }
-        std::string reply_payload;
-        Status called;
-        {
-          MutexLock worker_lock(worker.mu);
-          called = worker.client->Call(
-              MessageType::kEpochPrepareRequest, prepare_payload,
-              MessageType::kEpochPrepareReply, &reply_payload,
-              options_.remote.apply_deadline_ms);
-        }
-        EpochPrepareReply reply;
-        if (called.ok()) {
-          called = EpochPrepareReply::Decode(reply_payload, &reply);
-        }
-        if (called.ok() && reply.epoch != epoch) {
-          called = Status::Internal("worker acknowledged the wrong epoch");
-        }
-        if (called.ok() &&
-            reply.updates_applied != expected_of_shard[worker.shard]) {
-          called = Status::Internal(
-              "worker " + std::to_string(worker.shard) + " replica " +
-              std::to_string(worker.replica) + " applied " +
-              std::to_string(reply.updates_applied) + " updates where the " +
-              "coordinator expected " +
-              std::to_string(expected_of_shard[worker.shard]) +
-              " (divergent shard state)");
-        }
-        if (called.ok()) {
-          worker.epoch.store(epoch, std::memory_order_release);
-        } else {
-          MarkWorkerDead(worker);
-        }
-      });
-  for (ShardId si = 0; si < assignment_.num_shards; ++si) {
-    if (shard_touched[si] != 0) {
-      slices_[si]->weights_epoch.store(epoch, std::memory_order_release);
-    }
-    epochs_->PublishShard(si, epoch);
-  }
-
-  // Master apply: identical to RoutingService::ApplyTrafficBatch, so the
-  // filter step (bounds, skeleton, CANDS) stays answer-identical batch for
-  // batch.
-  for (const WeightUpdate& update : updates) graph_.SetWeight(update);
-  TrafficBatchResult result;
-  result.dtlp = dtlp_->ApplyUpdates(updates);
-  if (cands_ != nullptr) {
-    WallTimer cands_timer;
-    result.cands = cands_->ApplyUpdates(updates);
-    result.cands_micros = cands_timer.ElapsedMicros();
-  }
-  epochs_->Commit(epoch);
-  // Only committed batches enter the replay log (== the epoch sequence).
-  history_.emplace_back(updates.begin(), updates.end());
-  if (history_.size() >= options_.max_history_batches) {
-    // Bound the retained history with a checkpoint: snapshot the committed
-    // master weights and truncate the log. A replica restarting later loads
-    // this snapshot and replays only the batches committed after it — the
-    // partition is weight-independent, so checkpoint + replay reconstructs
-    // bit-identical worker state.
-    checkpoint_graph_ = graph_;
-    checkpoint_epoch_ = epoch;
-    history_.clear();
-  }
-
-  // Phase two: best-effort commit acknowledgements (pure bookkeeping — a
-  // worker that misses one learns the epoch from its next prepare; a
-  // replica that skipped the prepare is skipped here too).
-  EpochCommitRequest commit;
-  commit.epoch = epoch;
-  const std::string commit_payload = commit.Encode();
-  const auto& commit_hook = options_.remote.before_commit_hook;
-  apply_pool_->ParallelFor(
-      workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
-        Worker& worker = *workers_[wi];
-        if (!worker.alive.load(std::memory_order_acquire)) return;
-        if (worker.epoch.load(std::memory_order_acquire) != epoch) return;
-        if (commit_hook) {
-          ReplicaFaultPoint point{worker.shard, worker.replica,
-                                  worker.pid.load(std::memory_order_relaxed),
-                                  epoch};
-          if (!commit_hook(point)) return;
-        }
-        std::string reply_payload;
-        Status called;
-        {
-          MutexLock worker_lock(worker.mu);
-          called = worker.client->Call(
-              MessageType::kEpochCommitRequest, commit_payload,
-              MessageType::kEpochCommitReply, &reply_payload);
-        }
-        if (!called.ok()) MarkWorkerDead(worker);
-      });
-
-  result.epoch = epoch;
-  svc_metrics_.RecordTrafficBatch(updates.size());
-  return result;
-}
-
-uint64_t RemoteShardedRoutingService::checkpoint_epoch() const {
-  // checkpoint_graph_/checkpoint_epoch_/history_ only mutate under the
-  // exclusive half of the global epoch lock; a shared pin is enough here.
-  EpochReaderLock pin(epochs_->global_lock());
-  return checkpoint_epoch_;
-}
-
-size_t RemoteShardedRoutingService::history_size() const {
-  EpochReaderLock pin(epochs_->global_lock());
-  return history_.size();
-}
-
-RemoteServiceCounters RemoteShardedRoutingService::counters() const {
-  RemoteServiceCounters counters;
-  counters.sharded.base.queries_ok = svc_metrics_.queries_ok.value();
-  counters.sharded.base.queries_rejected =
-      svc_metrics_.queries_rejected.value();
-  counters.sharded.base.batches_applied = svc_metrics_.traffic_batches.value();
-  counters.sharded.base.updates_applied = svc_metrics_.weight_updates.value();
-  counters.sharded.single_shard_queries = single_shard_queries_.value();
-  counters.sharded.cross_shard_queries = cross_shard_queries_.value();
-  counters.sharded.direct_partial_requests = direct_partials_.value();
-  counters.sharded.scattered_partial_requests = scattered_partials_.value();
-  counters.partial_rpc_errors = partial_rpc_errors_.value();
-  for (const std::unique_ptr<ShardSlice>& slice : slices_) {
-    counters.sharded.partial_cache_hits += slice->cache_hits.value();
-    counters.sharded.partial_cache_skips += slice->cache_skips.value();
-    counters.sharded.partial_cache_flushes += slice->cache_flushes.value();
-  }
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    counters.rpc_calls += worker->client->calls();
-    counters.rpc_retries += worker->client->retries();
-    counters.rpc_deadline_expired += worker->client->deadline_expired();
-    counters.worker_restarts +=
-        worker->restarts.load(std::memory_order_relaxed);
-    counters.replica_catchups +=
-        worker->catchups.load(std::memory_order_relaxed);
-  }
-  return counters;
+MetricsSnapshot RemoteShardedRoutingService::Metrics() const {
+  MetricsSnapshot fleet = RoutingService::Metrics();
+  fleet_->MergeWorkerMetrics(&fleet);
+  return fleet;
 }
 
 std::vector<RemoteWorkerInfo> RemoteShardedRoutingService::WorkerInfos()
     const {
-  std::vector<RemoteWorkerInfo> infos;
-  infos.reserve(workers_.size());
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    RemoteWorkerInfo info;
-    info.shard = worker->shard;
-    info.replica = worker->replica;
-    info.pid = worker->pid.load(std::memory_order_relaxed);
-    info.socket_path = worker->socket_path;
-    info.alive = worker->alive.load(std::memory_order_acquire);
-    info.epoch = worker->epoch.load(std::memory_order_relaxed);
-    info.restarts = worker->restarts.load(std::memory_order_relaxed);
-    info.catchups = worker->catchups.load(std::memory_order_relaxed);
-    info.reads = worker->reads.value();
-    info.subgraphs = assignment_.subgraphs_of_shard[worker->shard].size();
-    info.vertices = assignment_.vertices_of_shard[worker->shard];
-    info.partial_requests = worker->partial_requests.value();
-    info.yen_runs = worker->yen_runs.value();
-    info.partial_cache_hits = slices_[worker->shard]->cache_hits.value();
-    info.rpc_calls = worker->client->calls();
-    info.rpc_retries = worker->client->retries();
-    info.rpc_deadline_expired = worker->client->deadline_expired();
-    infos.push_back(std::move(info));
-  }
-  return infos;
+  return fleet_->WorkerInfos();
+}
+
+uint32_t RemoteShardedRoutingService::num_replicas() const {
+  return fleet_->num_replicas();
+}
+
+uint64_t RemoteShardedRoutingService::checkpoint_epoch() const {
+  // The log only mutates under the exclusive half of the global epoch
+  // lock; a shared hold is enough here.
+  EpochReaderLock pin(epochs().global_lock());
+  return fleet_->checkpoint_epoch();
+}
+
+size_t RemoteShardedRoutingService::history_size() const {
+  EpochReaderLock pin(epochs().global_lock());
+  return fleet_->history_size();
 }
 
 }  // namespace kspdg

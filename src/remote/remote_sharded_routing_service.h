@@ -1,95 +1,66 @@
-// RemoteShardedRoutingService: the RoutingService contract served by N
-// out-of-process shard workers — the process-boundary deployment of the
-// paper's distributed Storm topology (§4), grown out of the in-process
-// ShardedRoutingService by cutting at the seams PR 3 left for it.
+// RemoteShardedRoutingService: the serving core (RoutingService) with the
+// RPC replica-set shard backend — the process-boundary deployment of the
+// paper's distributed Storm topology (§4).
 //
-// Topology: one coordinator (this class) plus num_shards `shard_worker`
-// processes, each owning one shard of the DTLP partition (the same
-// deterministic AssignShards split the in-process service uses). The
-// coordinator spawns the workers, ships each the graph + DTLP knobs over a
-// unix-socket RPC (src/rpc), and keeps a master copy of the whole state —
-// flat weights, every level-1 index, the skeleton, CANDS — exactly like
-// RoutingService, because the KSP-DG filter step reads per-subgraph lower
-// bounds on every query. What moves across the process boundary is the
-// refine step: boundary-pair partial KSP requests are routed to the worker
-// owning each subgraph through the same PartialProvider seam the sharded
-// service uses, and merged through the same MergeSubgraphPartials, so
-// remote answers are byte-identical to the in-process services by
-// construction. (Keeping the level-1 indexes on the coordinator as well is
-// a deliberate deviation from the paper's pure deployment; it is what lets
-// one node answer the filter step without a network hop per bound lookup.)
+// Topology: the coordinator (the RoutingService core: graph, DTLP master,
+// CANDS, epochs, queue, registry) plus num_shards x num_replicas
+// `shard_worker` processes, each replica owning one shard of the DTLP
+// partition (the same deterministic AssignShards split as every
+// deployment). The coordinator keeps its master copy of the whole state,
+// because the KSP-DG filter step reads per-subgraph lower bounds on every
+// query. What moves across the process boundary is the refine step: the
+// core's partial provider hands each shard's boundary-pair fetch to this
+// backend, which turns it into a PartialsRequest RPC. (Keeping the level-1
+// indexes on the coordinator as well is a deliberate deviation from the
+// paper's pure deployment; it is what lets one node answer the filter step
+// without a network hop per bound lookup.)
 //
-//   Query / QueryBatch / SubmitBatch
-//                   identical surface and snapshot semantics to
-//                   ShardedRoutingService (one EpochCoordinator::ReadPin per
-//                   batch); partial requests become PartialsRequest RPCs to
-//                   the owning workers, with the same per-(shard, worker)
-//                   caches and cap/flush telemetry.
-//   ApplyTrafficBatch
-//                   two-phase cross-process epoch commit under the global
-//                   exclusive lock: BeginAdvance, then EpochPrepare RPCs fan
-//                   the full batch out (each worker filters to its owned
-//                   subgraphs and applies its slice of Algorithm 2, then the
-//                   coordinator publishes that shard), then the coordinator
-//                   applies its master copy, Commits the global epoch, and
-//                   sends best-effort EpochCommit acknowledgements.
+// What the fleet adds to the core, and nothing else:
 //
-// Replication: each shard slice runs num_replicas workers (the YTsaurus
-// changelog/snapshot shape and the YugabyteDB tablet model — single writer
-// = this coordinator, so no consensus round is needed; the epoch sequence
-// IS the replication log). Every committed traffic batch is shipped to all
-// replicas of a shard in epoch order through the same prepare/commit RPCs;
-// queries load-balance partial fetches round-robin across the replicas
-// that have committed the pinned epoch, failing over to siblings when a
-// replica is dead or lagging. Only an all-replicas-dead shard degrades to
-// per-query kUnavailable. Because every replica re-derives its state from
-// the same deterministic replay, answers are byte-identical no matter
-// which replica serves the fetch.
+//   reads     each fetch starts at the shard's round-robin cursor and walks
+//             the replica set, skipping replicas that are dead or have not
+//             committed the pinned epoch, failing over on transport errors.
+//             Every replica replays the same epoch sequence, so whichever
+//             one answers, the bytes are identical. Only an all-replicas-
+//             dead shard fails a query (kUnavailable), through the core's
+//             query-poisoning path — never a hang, never a wrong answer.
+//   writes    two-phase cross-process epoch commit under the core's global
+//             exclusive lock: EpochPrepare RPCs fan the full batch out to
+//             every replica alive at the preceding epoch (each filters to
+//             its owned subgraphs and applies its slice of Algorithm 2), the
+//             core commits, then best-effort EpochCommit acknowledgements.
+//             A replica that fails its prepare is marked dead rather than
+//             failing the batch. The epoch sequence IS the replication log
+//             (single writer, so no consensus round is needed).
+//   recovery  the committed batch history back to the latest checkpoint (a
+//             full weight snapshot every max_history_batches commits);
+//             RestartDeadWorkers (also run by ApplyTrafficBatch when
+//             auto_restart is set) health-checks every replica, respawns the
+//             dead ones from the checkpoint plus the retained history, and
+//             replays an alive-but-lagging one in place.
+//   metrics   Metrics() merges every worker's registry (shipped back in ping
+//             replies) into the core's scrape.
 //
 // Fault model: every RPC has a per-attempt deadline and a bounded retry
 // budget (all protocol requests are idempotent — prepares replay their
-// stored reply, partials are reads), so a slow or dead worker degrades to a
-// clean kUnavailable/kDeadlineExceeded per-query status, never a hang and
-// never a wrong answer (a failed partial fetch poisons the query, and its
-// result is discarded). The coordinator retains the committed batch history
-// back to its latest checkpoint (a full weight snapshot taken every
-// max_history_batches commits, bounding replay cost and memory);
-// RestartDeadWorkers() (also run by ApplyTrafficBatch when auto_restart is
-// set) respawns a dead replica with the checkpoint graph, replays the
-// retained history, and catches up an alive-but-lagging replica in place,
-// so every revived replica re-derives the exact incremental state its
-// siblings have before rejoining the read rotation.
+// stored reply, partials are reads).
 #ifndef KSPDG_REMOTE_REMOTE_SHARDED_ROUTING_SERVICE_H_
 #define KSPDG_REMOTE_REMOTE_SHARDED_ROUTING_SERVICE_H_
 
 #include <sys/types.h>
 
-#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "api/batch_ticket.h"
-#include "api/ksp_solver.h"
-#include "api/routing_options.h"
 #include "api/routing_service.h"
-#include "api/routing_service_interface.h"
-#include "api/service_metrics.h"
-#include "core/epoch_coordinator.h"
-#include "core/epoch_lock.h"
-#include "core/mutex.h"
 #include "core/status.h"
-#include "core/submission_queue.h"
-#include "core/thread_annotations.h"
-#include "core/thread_pool.h"
-#include "dtlp/dtlp.h"
+#include "core/types.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
-#include "partition/shard_assignment.h"
-#include "rpc/client.h"
-#include "shard/sharded_routing_service.h"
 
 namespace kspdg {
 
@@ -137,17 +108,9 @@ struct RemoteWorkerOptions {
   std::function<bool(const ReplicaFaultPoint&)> before_commit_hook;
 };
 
-struct RemoteShardedRoutingServiceOptions {
-  /// Service-wide defaults; any field can be overridden per request.
-  RoutingOptions defaults;
-  /// DTLP construction knobs — shipped to every worker verbatim, so both
-  /// sides build the identical index.
-  DtlpOptions dtlp;
-  /// Coordinator-owned CANDS baseline index (same contract as the other
-  /// services).
-  bool enable_cands = true;
-  /// Shards of the subgraph partition (>= 1).
-  uint32_t num_shards = 2;
+/// The core's options plus the fleet's. The prepare fan-out runs one
+/// thread per worker, capped at the hardware thread count.
+struct RemoteShardedRoutingServiceOptions : RoutingServiceOptions {
   /// Replica workers per shard (>= 1). The fleet runs
   /// num_shards * num_replicas worker processes; reads load-balance across
   /// a shard's replicas, writes go to all of them in epoch order.
@@ -156,22 +119,11 @@ struct RemoteShardedRoutingServiceOptions {
   /// checkpoint (full weight snapshot) and truncates the log. Bounds the
   /// catch-up cost of a replica restart; 0 is treated as 1.
   size_t max_history_batches = 32;
-  /// Threads fanning one ApplyTrafficBatch's prepare RPCs across workers
-  /// (0 = one per worker, capped at the hardware thread count).
-  unsigned apply_threads = 0;
-  /// Threads answering one QueryBatch (0 = auto, capped at 16).
-  unsigned batch_threads = 0;
-  /// SubmitBatch queue capacity (0 is treated as 1). No-envelope submits
-  /// block when full (backpressure); QoS submits shed instead.
-  size_t submit_queue_capacity = 8;
-  /// Max pending SubmitBatch envelopes one tenant_id may hold at once;
-  /// over-quota QoS submits are shed with kResourceExhausted instead of
-  /// blocking (0 = unlimited, tenants with an empty id are unmetered).
-  size_t per_tenant_quota = 0;
   RemoteWorkerOptions remote;
 };
 
-/// Point-in-time view of one worker process (monitoring + tests).
+/// Point-in-time view of one worker process (monitoring + fault drills).
+/// Traffic and transport totals live in the registry (Metrics()).
 struct RemoteWorkerInfo {
   ShardId shard = kInvalidShard;
   /// Which replica of `shard` this worker is (0..num_replicas-1).
@@ -179,7 +131,7 @@ struct RemoteWorkerInfo {
   pid_t pid = -1;
   std::string socket_path;
   /// False once an RPC to this worker failed terminally (or a health check
-  /// did); a dead worker fails queries fast until restarted.
+  /// did); a dead worker fails over to its siblings until restarted.
   bool alive = false;
   /// Last epoch this worker acknowledged applying.
   uint64_t epoch = 0;
@@ -190,78 +142,19 @@ struct RemoteWorkerInfo {
   uint64_t catchups = 0;
   /// Partial fetches this replica served (the read-rotation share).
   uint64_t reads = 0;
-  /// Static ownership and per-shard traffic, as in ShardInfo.
-  size_t subgraphs = 0;
-  size_t vertices = 0;
-  uint64_t partial_requests = 0;
-  uint64_t yen_runs = 0;
-  uint64_t partial_cache_hits = 0;
-  /// Transport counters for this worker's connection.
-  uint64_t rpc_calls = 0;
-  uint64_t rpc_retries = 0;
-  uint64_t rpc_deadline_expired = 0;
 };
 
-/// Counters of the remote service: the sharded-service telemetry (the
-/// remote layer reuses it wholesale) plus the transport/fleet counters.
-struct RemoteServiceCounters {
-  ShardedServiceCounters sharded;
-  uint64_t rpc_calls = 0;
-  uint64_t rpc_retries = 0;
-  uint64_t rpc_deadline_expired = 0;
-  uint64_t worker_restarts = 0;
-  /// Replicas brought back to the committed epoch by a history replay
-  /// (respawn or in-place catch-up).
-  uint64_t replica_catchups = 0;
-  /// Queries that failed because a partial RPC failed (each also counts as
-  /// a rejected query in `sharded.base`).
-  uint64_t partial_rpc_errors = 0;
-};
+class ReplicaFleet;
 
-class RemoteShardedRoutingService : public RoutingServiceInterface {
+class RemoteShardedRoutingService : public RoutingService {
  public:
-  /// Takes ownership of `graph`, builds the coordinator's master state
-  /// (DTLP, CANDS, shard assignment — exactly as the in-process services
-  /// do), then spawns one shard_worker per shard and ships each the graph.
-  /// Fails if the worker binary cannot be found/spawned or a worker fails
-  /// to load the graph; already-spawned workers are torn down on failure.
+  /// Builds the coordinator's master state exactly as RoutingService does,
+  /// then spawns num_shards x num_replicas shard_worker processes and ships
+  /// each the graph. Fails if the worker binary cannot be found/spawned or
+  /// a worker fails to load the graph; already-spawned workers are torn
+  /// down on failure.
   static Result<std::unique_ptr<RemoteShardedRoutingService>> Create(
       Graph graph, RemoteShardedRoutingServiceOptions options = {});
-
-  RemoteShardedRoutingService(const RemoteShardedRoutingService&) = delete;
-  RemoteShardedRoutingService& operator=(const RemoteShardedRoutingService&) =
-      delete;
-
-  /// Drains the async submission queue, then shuts the workers down
-  /// (graceful Shutdown RPC first, SIGKILL after a grace period) and reaps
-  /// every child process.
-  ~RemoteShardedRoutingService() override;
-
-  /// Answers q(source, target) — any QueryKind — on the current global
-  /// snapshot. Byte-identical to ShardedRoutingService::Query over the same
-  /// graph and traffic history, whichever replica serves each partial
-  /// fetch. A fetch fails over to sibling replicas; only a query whose
-  /// shard has no replica at the pinned epoch returns
-  /// kUnavailable/kDeadlineExceeded instead of hanging.
-  Result<RouteResponse> Query(const RouteRequest& request) const override;
-
-  /// Batch counterpart, same contract as ShardedRoutingService::QueryBatch
-  /// (one multi-shard snapshot, per-item statuses, per-(shard, worker)
-  /// partial caches on the batch pool).
-  Result<RouteBatchResponse> QueryBatch(
-      std::span<const RouteRequest> requests) const override;
-
-  /// Asynchronous QueryBatch (same ticket contract as the other services).
-  [[nodiscard]] BatchTicket SubmitBatch(std::vector<RouteRequest> requests,
-                          BatchCallback callback = nullptr) const override;
-
-  /// Applies one batch of weight updates atomically across the coordinator
-  /// and every replica via the two-phase epoch commit (see file comment).
-  /// The batch succeeds as long as the coordinator's master state applies;
-  /// a replica that fails its prepare is marked dead (reads fail over to
-  /// its siblings until it is restarted) rather than failing the batch.
-  Result<TrafficBatchResult> ApplyTrafficBatch(
-      std::span<const WeightUpdate> updates) override;
 
   /// Health-checks every replica, respawns + replays the dead ones (from
   /// the latest checkpoint), and replays an alive-but-lagging replica back
@@ -270,35 +163,19 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   /// not be revived (the others still serve).
   Status RestartDeadWorkers();
 
-  /// Adds a custom backend (same freeze-on-first-query contract as the
-  /// other services).
-  Status RegisterSolver(std::unique_ptr<KspSolver> solver);
-
-  /// Committed global epoch (0 until the first batch).
-  uint64_t CurrentEpoch() const override { return epochs_->global(); }
-
-  std::vector<std::string> BackendNames() const override {
-    return registry_.Names();
-  }
-
-  /// Fleet-wide scrape: the coordinator's own registry merged with every
-  /// worker's latest snapshot. Live workers are pinged (each ping carries
-  /// the worker's registry back in the reply); a worker that cannot be
-  /// reached contributes its last successfully fetched snapshot instead,
-  /// so the export degrades to slightly stale worker data rather than
-  /// dropping a shard. Worker samples are tagged {shard="<id>"}.
+  /// Fleet-wide scrape: the core's registry merged with every worker's
+  /// latest snapshot. Live workers are pinged (each ping carries the
+  /// worker's registry back in the reply); a worker that cannot be reached
+  /// contributes its last successfully fetched snapshot instead, so the
+  /// export degrades to slightly stale worker data rather than dropping a
+  /// shard. Worker samples are tagged {shard="<id>", replica="<r>"}.
   MetricsSnapshot Metrics() const override;
 
-  RemoteServiceCounters counters() const;
-
   /// Per-worker fleet snapshot, shard-major: index = shard * num_replicas
-  /// + replica (at num_replicas == 1 this is indexed by ShardId, as
-  /// before).
+  /// + replica.
   std::vector<RemoteWorkerInfo> WorkerInfos() const;
 
-  uint32_t num_shards() const { return assignment_.num_shards; }
-  uint32_t num_replicas() const { return options_.num_replicas; }
-  const ShardAssignment& assignment() const { return assignment_; }
+  uint32_t num_replicas() const;
 
   /// Checkpoint bookkeeping (monitoring + tests): the epoch of the latest
   /// full weight snapshot and the commits retained after it. The replay
@@ -306,175 +183,12 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   uint64_t checkpoint_epoch() const;
   size_t history_size() const;
 
-  /// Read-only views of the coordinator's master state.
-  const Graph& graph() const { return graph_; }
-  const Dtlp& dtlp() const { return *dtlp_; }
-  const CandsIndex* cands() const { return cands_.get(); }
-  const RoutingOptions& defaults() const { return options_.defaults; }
-
  private:
-  /// One replica worker process: transport handle, liveness, and its share
-  /// of the per-replica serving counters. `mu` serialises calls on the
-  /// single connection; `pid` is written only under the coordinator's
-  /// global exclusive lock (or during Create); `epoch` is additionally
-  /// refreshed from ping replies, and both are read through atomics for
-  /// monitoring and read routing.
-  struct Worker {
-    ShardId shard = kInvalidShard;
-    uint32_t replica = 0;
-    std::string socket_path;
-    std::atomic<pid_t> pid{-1};
-    std::unique_ptr<RpcClient> client;
-    /// Serialises RPCs on this worker's connection (several batch-pool
-    /// threads may need the same worker).
-    mutable Mutex mu{"RemoteShardedRoutingService::Worker::mu"};
-    /// Mutable: the const query path marks a worker dead on RPC failure.
-    mutable std::atomic<bool> alive{false};
-    /// Mutable: health checks on the const query/scrape paths refresh it
-    /// from the worker's own ping report.
-    mutable std::atomic<uint64_t> epoch{0};
-    std::atomic<uint64_t> restarts{0};
-    std::atomic<uint64_t> catchups{0};
-    /// Registry handles labelled {shard="<s>", replica="<r>"}.
-    Counter partial_requests;
-    Counter yen_runs;
-    Counter reads;
-    /// Last snapshot this worker shipped back in a ping reply (the
-    /// fallback when the worker is unreachable at scrape time). Guarded by
-    /// metrics_mu, never by `mu` — caching must not serialise with RPCs.
-    mutable Mutex metrics_mu{"RemoteShardedRoutingService::Worker::metrics_mu"};
-    mutable MetricsSnapshot last_metrics GUARDED_BY(metrics_mu);
-    mutable bool has_metrics GUARDED_BY(metrics_mu) = false;
-  };
+  RemoteShardedRoutingService(Graph graph, RoutingServiceOptions options)
+      : RoutingService(std::move(graph), std::move(options)) {}
 
-  /// Per-shard state shared by the shard's replicas: the cache-flush stamp
-  /// (same semantics as Shard::weights_epoch — all replicas serve
-  /// byte-identical partials, so the caches are replica-agnostic) and the
-  /// read-rotation cursor. Heap-allocated because atomics are immovable.
-  struct ShardSlice {
-    std::atomic<uint64_t> weights_epoch{0};
-    /// Round-robin start offset for the next partial fetch of this shard.
-    mutable std::atomic<uint64_t> next_replica{0};
-    /// Cache telemetry labelled {shard="<s>"} (the caches are per shard).
-    Counter cache_hits;
-    Counter cache_skips;
-    Counter cache_flushes;
-  };
-
-  class RemotePartialProvider;
-
-  /// Persistent per-batch-pool-worker state (see ShardedRoutingService).
-  struct BatchWorker {
-    SolverScratchArena arena;
-    std::unique_ptr<RemotePartialProvider> provider;
-
-    BatchWorker();
-    BatchWorker(BatchWorker&&) noexcept;
-    BatchWorker& operator=(BatchWorker&&) noexcept;
-    ~BatchWorker();
-  };
-
-  RemoteShardedRoutingService(Graph graph,
-                              RemoteShardedRoutingServiceOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
-
-  Status PrepareQuery(const RouteRequest& request,
-                      PreparedRoute* prepared) const;
-
-  void MarkServing() const {
-    if (!serving_.load(std::memory_order_relaxed)) {
-      serving_.store(true, std::memory_order_release);
-    }
-  }
-
-  /// Ships the latest checkpoint graph to `worker` and cross-checks the
-  /// deterministic rebuild. Caller holds the global exclusive lock (or is
-  /// inside Create).
-  Status LoadCheckpoint(Worker& worker) const;
-
-  /// Replays every retained batch with epoch > `from_epoch` onto `worker`.
-  Status ReplayRetainedHistory(Worker& worker, uint64_t from_epoch) const;
-
-  /// Spawns the process for `worker` (which must not have a live child) and
-  /// ships it the checkpoint graph + the retained history replay. On
-  /// success the worker is alive at the current epoch.
-  Status SpawnAndLoadWorker(Worker& worker) const;
-
-  /// Replays the retained history onto an alive-but-lagging worker (or
-  /// reloads it from the checkpoint when it fell behind the checkpoint
-  /// epoch) so it rejoins the read rotation at the committed epoch. Caller
-  /// holds the global exclusive lock.
-  Status CatchUpWorker(Worker& worker) const;
-
-  /// RestartDeadWorkers body; caller holds the global exclusive lock.
-  Status RestartDeadWorkersLocked();
-
-  Worker& WorkerAt(ShardId shard, uint32_t replica) const {
-    return *workers_[static_cast<size_t>(shard) * options_.num_replicas +
-                     replica];
-  }
-
-  /// Pings `worker`; marks it dead on failure.
-  bool HealthCheckWorker(const Worker& worker) const;
-
-  /// Marks a worker dead after a terminal RPC failure.
-  void MarkWorkerDead(const Worker& worker) const {
-    worker.alive.store(false, std::memory_order_release);
-  }
-
-  /// Best-effort graceful shutdown + SIGKILL + reap of one worker process.
-  void StopWorker(Worker& worker);
-
-  Graph graph_;
-  RemoteShardedRoutingServiceOptions options_;
-  /// Owns every metric cell the members below hold handles into. Declared
-  /// before them so it is destroyed LAST — after submit_queue_, whose
-  /// destructor still drains batches that bump counters.
-  MetricsRegistry metrics_;
-  /// Latest checkpoint: a full copy of the graph as of checkpoint_epoch_
-  /// (the pristine Create-time graph at epoch 0 until the first checkpoint
-  /// is taken). What a (re)spawned worker is loaded with before the
-  /// retained history is replayed onto it. The partition is
-  /// weight-independent and worker partials read only subgraph weight
-  /// copies, so a checkpoint restart converges bit-identically to a
-  /// full-history replay. Guarded by the global exclusive lock.
-  Graph checkpoint_graph_;
-  uint64_t checkpoint_epoch_ = 0;
-  /// Traffic batches committed after checkpoint_epoch_, in commit order —
-  /// history_[b] is the batch of epoch checkpoint_epoch_ + b + 1. Bounded
-  /// by max_history_batches (a new checkpoint truncates it); guarded by
-  /// the global exclusive lock.
-  std::vector<std::vector<WeightUpdate>> history_;
-  std::unique_ptr<Dtlp> dtlp_;
-  std::unique_ptr<CandsIndex> cands_;
-  SolverRegistry registry_;
-  mutable std::atomic<bool> serving_{false};
-  ShardAssignment assignment_;
-  /// Resolved worker binary path (see RemoteWorkerOptions::worker_binary).
-  std::string worker_binary_;
-  /// The fleet, shard-major: workers_[shard * num_replicas + replica].
-  std::vector<std::unique_ptr<Worker>> workers_;
-  /// Per-shard replica-shared state, indexed by ShardId.
-  std::vector<std::unique_ptr<ShardSlice>> slices_;
-  std::unique_ptr<EpochCoordinator> epochs_;
-  std::unique_ptr<ThreadPool> apply_pool_;
-  std::unique_ptr<ThreadPool> batch_pool_;
-
-  mutable Mutex batch_mu_{"RemoteShardedRoutingService::batch_mu_"};
-  mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);
-  mutable uint64_t arena_epoch_ GUARDED_BY(batch_mu_) = 0;
-
-  /// Query/update handles into metrics_ (RemoteServiceCounters is a view
-  /// over these plus the per-worker handles and the RPC client atomics).
-  ServiceMetrics svc_metrics_;
-  Counter single_shard_queries_;
-  Counter cross_shard_queries_;
-  Counter direct_partials_;
-  Counter scattered_partials_;
-  Counter partial_rpc_errors_;
-
-  /// Declared last so it is destroyed FIRST (drains accepted batches).
-  std::unique_ptr<SubmissionQueue> submit_queue_;
+  /// The fleet, owned by the core as its shard backend (set in Create).
+  ReplicaFleet* fleet_ = nullptr;
 };
 
 }  // namespace kspdg

@@ -20,17 +20,18 @@
 #include "graph/generators.h"
 #include "graph/traffic_model.h"
 #include "ksp/path.h"
-#include "workload/bench_runner.h"
 
 namespace kspdg {
 namespace {
 
 std::unique_ptr<RoutingService> MustCreate(Graph g, uint32_t z = 0,
                                            RoutingOptions defaults = {},
-                                           unsigned batch_threads = 0) {
+                                           unsigned batch_threads = 0,
+                                           uint32_t num_shards = 1) {
   RoutingServiceOptions options;
   options.defaults = std::move(defaults);
   options.batch_threads = batch_threads;
+  options.num_shards = num_shards;
   if (z != 0) options.dtlp.partition.max_vertices = z;
   Result<std::unique_ptr<RoutingService>> service =
       RoutingService::Create(std::move(g), std::move(options));
@@ -75,51 +76,65 @@ void ExpectSameDistances(const std::vector<Path>& got,
   }
 }
 
+// Yen is the oracle: KSP-DG must match it at every shard count, so the
+// sharded core is checked against an independent solver, not only against
+// itself.
 TEST(RoutingServiceTest, BackendParityOnRandomGraphs) {
-  for (uint64_t seed = 0; seed < 6; ++seed) {
-    Graph g = MakeRandomConnected(26, 30, 1, 9, seed * 13 + 1);
-    std::unique_ptr<RoutingService> service =
-        MustCreate(std::move(g), /*z=*/8);
-    ASSERT_TRUE(service != nullptr);
-    VertexId s = 0, t = 25;
-    std::vector<Path> yen = MustSolve(*service, s, t, kBackendYen, 6);
-    std::vector<Path> kspdg = MustSolve(*service, s, t, kBackendKspDg, 6);
-    std::vector<Path> findksp = MustSolve(*service, s, t, kBackendFindKsp, 6);
-    ASSERT_FALSE(yen.empty());
-    ExpectSameDistances(kspdg, yen, "kspdg vs yen seed " +
-                                        std::to_string(seed));
-    ExpectSameDistances(findksp, yen, "findksp vs yen seed " +
-                                          std::to_string(seed));
-    std::vector<Path> dijkstra =
-        MustSolve(*service, s, t, kBackendDijkstra, 1);
-    ASSERT_EQ(dijkstra.size(), 1u);
-    EXPECT_NEAR(dijkstra[0].distance, yen[0].distance, 1e-9);
+  for (uint32_t num_shards : {1u, 2u, 4u}) {
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+      const std::string label = "shards " + std::to_string(num_shards) +
+                                " seed " + std::to_string(seed);
+      Graph g = MakeRandomConnected(26, 30, 1, 9, seed * 13 + 1);
+      std::unique_ptr<RoutingService> service = MustCreate(
+          std::move(g), /*z=*/8, RoutingOptions{}, /*batch_threads=*/0,
+          num_shards);
+      ASSERT_TRUE(service != nullptr);
+      VertexId s = 0, t = 25;
+      std::vector<Path> yen = MustSolve(*service, s, t, kBackendYen, 6);
+      std::vector<Path> kspdg = MustSolve(*service, s, t, kBackendKspDg, 6);
+      std::vector<Path> findksp =
+          MustSolve(*service, s, t, kBackendFindKsp, 6);
+      ASSERT_FALSE(yen.empty());
+      ExpectSameDistances(kspdg, yen, "kspdg vs yen " + label);
+      ExpectSameDistances(findksp, yen, "findksp vs yen " + label);
+      std::vector<Path> dijkstra =
+          MustSolve(*service, s, t, kBackendDijkstra, 1);
+      ASSERT_EQ(dijkstra.size(), 1u);
+      EXPECT_NEAR(dijkstra[0].distance, yen[0].distance, 1e-9);
+    }
   }
 }
 
 TEST(RoutingServiceTest, BackendParityAfterTrafficBatches) {
-  Graph g = MakeRandomConnected(30, 36, 2, 12, 99);
-  std::unique_ptr<RoutingService> service = MustCreate(std::move(g), /*z=*/10);
-  ASSERT_TRUE(service != nullptr);
-  TrafficModelOptions traffic_options;
-  traffic_options.alpha = 0.5;
-  traffic_options.seed = 5;
-  TrafficModel traffic(service->graph(), traffic_options);
-  for (int step = 0; step < 4; ++step) {
-    std::vector<WeightUpdate> batch = traffic.NextBatch();
-    Result<TrafficBatchResult> applied = service->ApplyTrafficBatch(batch);
-    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    EXPECT_EQ(applied.value().epoch, static_cast<uint64_t>(step + 1));
-    std::vector<Path> yen = MustSolve(*service, 1, 28, kBackendYen, 5);
-    std::vector<Path> kspdg = MustSolve(*service, 1, 28, kBackendKspDg, 5);
-    ExpectSameDistances(kspdg, yen, "step " + std::to_string(step));
-    // Distances must reflect the *current* snapshot exactly.
-    for (const Path& p : yen) {
-      EXPECT_NEAR(RouteDistance(service->graph(), p.vertices), p.distance,
-                  1e-9);
+  for (uint32_t num_shards : {1u, 2u, 4u}) {
+    Graph g = MakeRandomConnected(30, 36, 2, 12, 99);
+    std::unique_ptr<RoutingService> service = MustCreate(
+        std::move(g), /*z=*/10, RoutingOptions{}, /*batch_threads=*/0,
+        num_shards);
+    ASSERT_TRUE(service != nullptr);
+    TrafficModelOptions traffic_options;
+    traffic_options.alpha = 0.5;
+    traffic_options.seed = 5;
+    TrafficModel traffic(service->graph(), traffic_options);
+    for (int step = 0; step < 4; ++step) {
+      const std::string label = "shards " + std::to_string(num_shards) +
+                                " step " + std::to_string(step);
+      std::vector<WeightUpdate> batch = traffic.NextBatch();
+      Result<TrafficBatchResult> applied = service->ApplyTrafficBatch(batch);
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+      EXPECT_EQ(applied.value().epoch, static_cast<uint64_t>(step + 1));
+      std::vector<Path> yen = MustSolve(*service, 1, 28, kBackendYen, 5);
+      std::vector<Path> kspdg = MustSolve(*service, 1, 28, kBackendKspDg, 5);
+      ExpectSameDistances(kspdg, yen, label);
+      // Distances must reflect the *current* snapshot exactly.
+      for (const Path& p : yen) {
+        EXPECT_NEAR(RouteDistance(service->graph(), p.vertices), p.distance,
+                    1e-9)
+            << label;
+      }
     }
+    EXPECT_EQ(service->CurrentEpoch(), 4u);
   }
-  EXPECT_EQ(service->CurrentEpoch(), 4u);
 }
 
 TEST(RoutingServiceTest, InvalidRequestsAreRejected) {
@@ -148,12 +163,12 @@ TEST(RoutingServiceTest, InvalidRequestsAreRejected) {
   EXPECT_EQ(service->Query(bad_iters).status().code(),
             StatusCode::kInvalidArgument);
 
-  ServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.queries_ok, 0u);
-  EXPECT_EQ(counters.queries_rejected, 7u);
+  MetricsSnapshot snapshot = service->Metrics();
+  EXPECT_EQ(snapshot.CounterTotal("queries_ok_total"), 0u);
+  EXPECT_EQ(snapshot.CounterTotal("queries_rejected_total"), 7u);
 }
 
-// The registry behind counters(): every Query lands in exactly one of
+// The registry: every Query lands in exactly one of
 // queries_ok_total / queries_rejected_total, the per-(kind, backend)
 // queries_total split sums to the same total, and every accepted query
 // observed one solve-latency sample.
@@ -188,11 +203,6 @@ TEST(RoutingServiceTest, MetricsRegistryAccountsForEveryQuery) {
     }
   }
   EXPECT_EQ(latency_samples, 5u);
-
-  // The legacy counters() struct is a view over the same registry.
-  ServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.queries_ok, 5u);
-  EXPECT_EQ(counters.queries_rejected, 2u);
 
   // Traffic-path accounting rides in the same snapshot.
   std::vector<WeightUpdate> update = {{0, 4.0, 4.0}};
@@ -401,9 +411,10 @@ TEST(RoutingServiceTest, ConcurrentQueriesAndUpdatesSeeConsistentEpochs) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(checks.load(), 0u) << "readers never overlapped the updates";
   EXPECT_EQ(service->CurrentEpoch(), kBatches);
-  ServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.batches_applied, kBatches);
-  EXPECT_EQ(counters.updates_applied, kBatches * num_edges);
+  MetricsSnapshot snapshot = service->Metrics();
+  EXPECT_EQ(snapshot.CounterTotal("traffic_batches_total"), kBatches);
+  EXPECT_EQ(snapshot.CounterTotal("weight_updates_total"),
+            kBatches * num_edges);
 }
 
 // ---------------------------------------------------------------------------
@@ -479,9 +490,9 @@ TEST(QueryBatchTest, MixedValidAndInvalidRequestsInOneBatch) {
   EXPECT_TRUE(b.items[6].status.ok());
   EXPECT_FALSE(b.items[6].response.paths.empty());
 
-  ServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.queries_ok, 2u);
-  EXPECT_EQ(counters.queries_rejected, 5u);
+  MetricsSnapshot snapshot = service->Metrics();
+  EXPECT_EQ(snapshot.CounterTotal("queries_ok_total"), 2u);
+  EXPECT_EQ(snapshot.CounterTotal("queries_rejected_total"), 5u);
 }
 
 TEST(QueryBatchTest, EveryItemAnsweredAtOneEpoch) {
@@ -524,9 +535,9 @@ TEST(QueryBatchTest, EmptyBatchIsOk) {
   EXPECT_EQ(batched.value().epoch, service->CurrentEpoch());
 }
 
-// With one worker, the whole batch shares one KSP-DG scratch, so a repeated
-// identical query must be served from the warm partial cache: its solve
-// performs zero fresh partial-KSP computations.
+// With one worker, the whole batch shares one partial cache, so a repeated
+// identical query must be served from it: its solve performs zero fresh
+// partial-KSP computations.
 TEST(QueryBatchTest, SharedScratchReusesPartialsAcrossBatchItems) {
   Graph g = MakeRandomConnected(26, 32, 1, 9, 29);
   std::unique_ptr<RoutingService> service =
@@ -548,9 +559,9 @@ TEST(QueryBatchTest, SharedScratchReusesPartialsAcrossBatchItems) {
   EXPECT_EQ(second.partial_ksp_computations, 0u)
       << "second identical query should be fully served from the shared "
          "partial cache";
-  EXPECT_GT(second.partial_cache_hits, 0u);
+  EXPECT_GT(service->Metrics().CounterTotal("partial_cache_hits_total"), 0u);
 
-  // The arena persists across batches while the epoch holds still: a later
+  // The cache persists across batches while the epoch holds still: a later
   // batch repeating the query is served from the still-warm cache.
   Result<RouteBatchResponse> later = service->QueryBatch(
       std::span<const RouteRequest>(requests.data(), 1));
@@ -558,6 +569,18 @@ TEST(QueryBatchTest, SharedScratchReusesPartialsAcrossBatchItems) {
   ASSERT_EQ(later.value().num_ok, 1u);
   EXPECT_EQ(
       later.value().items[0].response.stats.engine.partial_ksp_computations,
+      0u);
+
+  // A request that opts out of partial reuse neither reads nor fills the
+  // warm cache: it pays for its own partial Yen runs.
+  RouteRequest no_reuse = requests[0];
+  no_reuse.options.reuse_partials = false;
+  Result<RouteBatchResponse> cold =
+      service->QueryBatch(std::span<const RouteRequest>(&no_reuse, 1));
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(cold.value().num_ok, 1u);
+  EXPECT_GT(
+      cold.value().items[0].response.stats.engine.partial_ksp_computations,
       0u);
 }
 
@@ -586,6 +609,9 @@ TEST(QueryBatchTest, ArenaCachesAreInvalidatedWhenTheEpochMoves) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ASSERT_EQ(after.value().num_ok, 2u);
   EXPECT_EQ(after.value().epoch, before.value().epoch + 1);
+  // The warm entries were dropped, not consulted.
+  EXPECT_GT(service->Metrics().CounterTotal("partial_cache_flushes_total"),
+            0u);
   for (size_t i = 0; i < requests.size(); ++i) {
     const std::vector<Path>& old_paths = before.value().items[i].response.paths;
     const std::vector<Path>& new_paths = after.value().items[i].response.paths;
@@ -1259,82 +1285,8 @@ TEST(MultiKindQueryTest, MixedKindsInOneBatchMatchSequentialQueries) {
   }
   // The diverse item carries its kind-tagged payload through the batch.
   ASSERT_TRUE(b.items[2].response.diverse.has_value());
-  EXPECT_EQ(b.items[2].response.diverse->kept, b.items[2].response.paths.size());
-}
-
-TEST(BenchRunnerTest, MixedBenchSmoke) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 6;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.batch_size = 4;
-  options.diverse = true;
-  options.diverse_theta = 0.6;
-  options.diverse_overfetch = 4;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const BenchReport& r = report.value();
-  EXPECT_EQ(r.num_vertices, 256u);
-  EXPECT_EQ(r.batches_applied, 2u);
-  EXPECT_EQ(r.batch_errors, 0u);
-  EXPECT_EQ(r.final_epoch, 2u);
-  ASSERT_EQ(r.backends.size(), 3u);
-  for (const BackendBenchStats& b : r.backends) {
-    EXPECT_EQ(b.queries, 6u) << b.backend;
-    EXPECT_EQ(b.errors, 0u) << b.backend;
-    EXPECT_GT(b.paths_returned, 0u) << b.backend;
-    // Percentiles exist and are ordered.
-    EXPECT_GT(b.p50_micros, 0.0) << b.backend;
-    EXPECT_LE(b.p50_micros, b.p95_micros) << b.backend;
-    EXPECT_LE(b.p95_micros, b.p99_micros) << b.backend;
-    EXPECT_LE(b.p99_micros, b.max_micros) << b.backend;
-  }
-  EXPECT_GT(r.update_p50_micros, 0.0);
-  EXPECT_LE(r.update_p50_micros, r.update_p99_micros);
-  // Batch phase ran over the full mixed request list without errors and
-  // every batch stayed on one epoch.
-  EXPECT_EQ(r.batch.batch_size, 4u);
-  EXPECT_EQ(r.batch.requests, 18u);
-  EXPECT_EQ(r.batch.errors, 0u);
-  EXPECT_EQ(r.batch.non_uniform_batches, 0u);
-  EXPECT_GT(r.batch.sequential_qps, 0.0);
-  EXPECT_GT(r.batch.batch_qps, 0.0);
-  // CANDS maintenance ran inside the same traffic batches the DTLP
-  // maintenance did (the Figures 40-41 contrast).
-  EXPECT_GT(r.cands_subgraphs_rebuilt, 0u);
-  EXPECT_GT(r.cands_pair_paths_recomputed, 0u);
-  EXPECT_GT(r.cands_rebuild_micros, 0.0);
-  // Diverse phase: every query answered, similarity bound respected, and
-  // the per-query MFP trees compressed the EP incidences.
-  EXPECT_EQ(r.diverse.requests, 18u);
-  EXPECT_EQ(r.diverse.errors, 0u);
-  EXPECT_GE(r.diverse.kept_min, 1u);
-  EXPECT_LE(r.diverse.kept_max, 3u);
-  EXPECT_EQ(r.diverse.kept_total + r.diverse.filtered_total,
-            r.diverse.candidates_total);
-  EXPECT_LE(r.diverse.max_pairwise_similarity, options.diverse_theta);
-  EXPECT_LE(r.diverse.mean_pairwise_similarity,
-            r.diverse.max_pairwise_similarity + 1e-12);
-  EXPECT_GT(r.diverse.ep_raw_entries, 0u);
-  EXPECT_LE(r.diverse.ep_path_nodes, r.diverse.ep_raw_entries);
-  EXPECT_GT(r.diverse.diverse_qps, 0.0);
-  EXPECT_GT(r.diverse.plain_qps, 0.0);
-  EXPECT_LE(r.diverse.p50_micros, r.diverse.p99_micros);
-  std::string json = r.ToJson();
-  EXPECT_NE(json.find("\"dataset\": \"NY-S\""), std::string::npos);
-  EXPECT_NE(json.find("\"backend\": \"kspdg\""), std::string::npos);
-  EXPECT_NE(json.find("\"batch_size\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"p95_micros\""), std::string::npos);
-  EXPECT_NE(json.find("\"diverse\""), std::string::npos);
-  EXPECT_NE(json.find("\"mfp_compression_ratio\""), std::string::npos);
-  EXPECT_NE(json.find("\"cands_rebuild_micros\""), std::string::npos);
-  BenchOptions bad = options;
-  bad.backends = {};
-  EXPECT_FALSE(RunMixedBench(bad).ok());
+  EXPECT_EQ(b.items[2].response.diverse->kept,
+            b.items[2].response.paths.size());
 }
 
 }  // namespace

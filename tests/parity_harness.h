@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,32 +21,18 @@
 #include "graph/graph.h"
 #include "ksp/path.h"
 #include "remote/remote_sharded_routing_service.h"
-#include "shard/sharded_routing_service.h"
 
 namespace kspdg {
 
-inline std::unique_ptr<RoutingService> MustCreatePlain(Graph g, uint32_t z) {
+/// The in-process deployment at `num_shards` shards.
+inline std::unique_ptr<RoutingService> MustCreateSharded(
+    Graph g, uint32_t z, uint32_t num_shards, unsigned batch_threads = 0) {
   RoutingServiceOptions options;
   options.dtlp.partition.max_vertices = z;
+  options.num_shards = num_shards;
+  options.batch_threads = batch_threads;
   Result<std::unique_ptr<RoutingService>> service =
       RoutingService::Create(std::move(g), std::move(options));
-  if (!service.ok()) {
-    ADD_FAILURE() << service.status().ToString();
-    return nullptr;
-  }
-  return std::move(service).value();
-}
-
-inline std::unique_ptr<ShardedRoutingService> MustCreateSharded(
-    Graph g, uint32_t z, uint32_t num_shards, unsigned apply_threads = 0,
-    unsigned batch_threads = 0) {
-  ShardedRoutingServiceOptions options;
-  options.dtlp.partition.max_vertices = z;
-  options.num_shards = num_shards;
-  options.apply_threads = apply_threads;
-  options.batch_threads = batch_threads;
-  Result<std::unique_ptr<ShardedRoutingService>> service =
-      ShardedRoutingService::Create(std::move(g), std::move(options));
   if (!service.ok()) {
     ADD_FAILURE() << service.status().ToString();
     return nullptr;
@@ -73,6 +60,31 @@ inline std::unique_ptr<RemoteShardedRoutingService> MustCreateRemote(
     return nullptr;
   }
   return std::move(service).value();
+}
+
+/// The single-shard deployment (the reference the others must match).
+inline std::unique_ptr<RoutingService> MustCreatePlain(Graph g, uint32_t z) {
+  return MustCreateSharded(std::move(g), z, /*num_shards=*/1);
+}
+
+/// Sum of a counter series over all its labels in a fresh scrape.
+inline uint64_t CounterTotal(const RoutingServiceInterface& service,
+                             std::string_view name) {
+  return service.Metrics().CounterTotal(name);
+}
+
+/// Sum of a counter series' samples labelled {shard="<shard>"}.
+inline uint64_t ShardCounter(const MetricsSnapshot& snapshot,
+                             std::string_view name, ShardId shard) {
+  const std::string id = std::to_string(shard);
+  uint64_t total = 0;
+  for (const CounterSample& counter : snapshot.counters) {
+    if (counter.name != name) continue;
+    for (const auto& [key, value] : counter.labels) {
+      if (key == "shard" && value == id) total += counter.value;
+    }
+  }
+  return total;
 }
 
 inline RouteRequest MakeRequest(VertexId s, VertexId t,

@@ -1,6 +1,6 @@
 // Tests for the out-of-process serving layer (src/remote + the
 // shard_worker binary): byte-identical parity with the in-process
-// ShardedRoutingService at 1/2/4 shards for every QueryKind, single and
+// RoutingService at 1/2/4 shards for every QueryKind, single and
 // batched, before and after traffic; the cross-process two-phase epoch
 // commit; and the fault model — killed workers degrade to clean per-query
 // Status errors (never a hang, never a wrong answer) and come back via
@@ -24,8 +24,6 @@
 #include "ksp/path.h"
 #include "parity_harness.h"
 #include "remote/remote_sharded_routing_service.h"
-#include "shard/sharded_routing_service.h"
-#include "workload/bench_runner.h"
 
 namespace kspdg {
 namespace {
@@ -41,11 +39,12 @@ void KillAllWorkers(const RemoteShardedRoutingService& service) {
 // Parity with the in-process sharded service: every kind, pre/post traffic.
 // ---------------------------------------------------------------------------
 
-TEST(RemoteShardedRoutingServiceTest, ParityWithInProcessAcrossKindsAndTraffic) {
+TEST(RemoteShardedRoutingServiceTest,
+     ParityWithInProcessAcrossKindsAndTraffic) {
   for (uint32_t num_shards : {1u, 2u, 4u}) {
     Graph g = MakeRandomConnected(40, 52, 1, 9, 307);
     Graph g_remote = g;
-    std::unique_ptr<ShardedRoutingService> sharded =
+    std::unique_ptr<RoutingService> sharded =
         MustCreateSharded(std::move(g), /*z=*/10, num_shards);
     std::unique_ptr<RemoteShardedRoutingService> remote =
         MustCreateRemote(std::move(g_remote), /*z=*/10, num_shards);
@@ -134,7 +133,7 @@ TEST(RemoteShardedRoutingServiceTest, ParityWithInProcessAcrossKindsAndTraffic) 
 TEST(RemoteShardedRoutingServiceTest, BatchAndSubmitParityWithInProcess) {
   Graph g = MakeRandomConnected(36, 48, 1, 9, 311);
   Graph g_remote = g;
-  std::unique_ptr<ShardedRoutingService> sharded =
+  std::unique_ptr<RoutingService> sharded =
       MustCreateSharded(std::move(g), /*z=*/10, /*num_shards=*/2);
   std::unique_ptr<RemoteShardedRoutingService> remote =
       MustCreateRemote(std::move(g_remote), /*z=*/10, /*num_shards=*/2);
@@ -199,10 +198,10 @@ TEST(RemoteShardedRoutingServiceTest, RejectsInvalidRequestsAndCounts) {
   EXPECT_EQ(
       service->Query(MakeRequest(0, 5, "no-such-backend", 2)).status().code(),
       StatusCode::kNotFound);
-  RemoteServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.sharded.base.queries_ok, 0u);
-  EXPECT_EQ(counters.sharded.base.queries_rejected, 3u);
-  EXPECT_EQ(counters.partial_rpc_errors, 0u);
+  MetricsSnapshot metrics = service->Metrics();
+  EXPECT_EQ(metrics.CounterTotal("queries_ok_total"), 0u);
+  EXPECT_EQ(metrics.CounterTotal("queries_rejected_total"), 3u);
+  EXPECT_EQ(metrics.CounterTotal("partial_fetch_errors_total"), 0u);
 }
 
 TEST(RemoteShardedRoutingServiceTest, CreateRejectsMissingWorkerBinary) {
@@ -223,22 +222,24 @@ TEST(RemoteShardedRoutingServiceTest, WorkerFleetTelemetryIsCoherent) {
   }
   std::vector<RemoteWorkerInfo> infos = service->WorkerInfos();
   ASSERT_EQ(infos.size(), 3u);
-  size_t subgraphs = 0;
-  uint64_t worker_partials = 0;
+  uint64_t worker_reads = 0;
   for (const RemoteWorkerInfo& info : infos) {
     EXPECT_TRUE(info.alive) << info.shard;
     EXPECT_GT(info.pid, 0) << info.shard;
-    subgraphs += info.subgraphs;
-    worker_partials += info.partial_requests;
-    EXPECT_GE(info.yen_runs, info.partial_requests) << info.shard;
+    worker_reads += info.reads;
   }
-  EXPECT_EQ(subgraphs, service->dtlp().NumSubgraphs());
-  RemoteServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.sharded.base.queries_ok, 10u);
-  EXPECT_GT(counters.rpc_calls, 0u);
-  EXPECT_EQ(counters.worker_restarts, 0u);
-  EXPECT_GE(worker_partials, counters.sharded.direct_partial_requests +
-                                 counters.sharded.scattered_partial_requests);
+  MetricsSnapshot metrics = service->Metrics();
+  // Every fresh fetch was one read of one replica.
+  EXPECT_EQ(worker_reads, metrics.CounterTotal("partial_requests_total"));
+  EXPECT_EQ(worker_reads, metrics.CounterTotal("reads_by_replica_total"));
+  EXPECT_GE(metrics.CounterTotal("yen_runs_total"), worker_reads);
+  EXPECT_EQ(metrics.CounterTotal("queries_ok_total"), 10u);
+  EXPECT_GT(metrics.CounterTotal("rpc_calls_total"), 0u);
+  EXPECT_EQ(metrics.CounterTotal("worker_restarts_total"), 0u);
+  EXPECT_EQ(metrics.CounterTotal("rpc_deadline_expired_total"), 0u);
+  EXPECT_GE(worker_reads,
+            metrics.CounterTotal("direct_partial_requests_total") +
+                metrics.CounterTotal("scattered_partial_requests_total"));
 }
 
 // Worker-registry round-trip: each shard_worker keeps its own
@@ -274,10 +275,9 @@ TEST(RemoteShardedRoutingServiceTest, FleetMetricsMergeWorkerRegistries) {
   // The scrape itself pings the fleet, so every worker saw >= 1 ping.
   EXPECT_GT(worker_pings, 0u);
   // The workers' own partials accounting rode along with the merge.
-  RemoteServiceCounters counters = service->counters();
   EXPECT_GE(fleet.CounterTotal("worker_partials_requests_total"),
-            counters.sharded.direct_partial_requests +
-                counters.sharded.scattered_partial_requests);
+            fleet.CounterTotal("direct_partial_requests_total") +
+                fleet.CounterTotal("scattered_partial_requests_total"));
 }
 
 // Duplicate KSP-DG queries inside one batch are served from the
@@ -303,7 +303,7 @@ TEST(RemoteShardedRoutingServiceTest, PartialCachesServeDuplicateInBatch) {
   ExpectIdenticalPaths(batched.value().items[1].response.paths,
                        batched.value().items[0].response.paths,
                        "duplicate query in one remote batch");
-  EXPECT_GT(service->counters().sharded.partial_cache_hits, 0u);
+  EXPECT_GT(service->Metrics().CounterTotal("partial_cache_hits_total"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ TEST(RemoteFaultTest, KilledWorkersYieldCleanErrorsNeverHangsOrWrongAnswers) {
   std::unique_ptr<RemoteShardedRoutingService> service =
       MustCreateRemoteFastFail(std::move(g), /*z=*/8, /*num_shards=*/2,
                                /*auto_restart=*/false);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr && reference != nullptr);
 
@@ -370,9 +370,9 @@ TEST(RemoteFaultTest, KilledWorkersYieldCleanErrorsNeverHangsOrWrongAnswers) {
   // the deadline wait entirely. Generous bound, but a hang would blow it.
   EXPECT_LT(elapsed.count(), 30);
 
-  RemoteServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.partial_rpc_errors, errors);
-  EXPECT_EQ(counters.sharded.base.queries_rejected, errors);
+  MetricsSnapshot metrics = service->Metrics();
+  EXPECT_EQ(metrics.CounterTotal("partial_fetch_errors_total"), errors);
+  EXPECT_EQ(metrics.CounterTotal("queries_rejected_total"), errors);
 
   // Backends that never leave the coordinator still serve every query.
   for (VertexId s = 0; s < 4; ++s) {
@@ -392,7 +392,7 @@ TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
   std::unique_ptr<RemoteShardedRoutingService> service =
       MustCreateRemoteFastFail(std::move(g), /*z=*/8, /*num_shards=*/2,
                                /*auto_restart=*/false);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr && reference != nullptr);
 
@@ -422,7 +422,8 @@ TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
     total_restarts += info.restarts;
   }
   EXPECT_GT(total_restarts, 0u);
-  EXPECT_EQ(service->counters().worker_restarts, total_restarts);
+  EXPECT_EQ(service->Metrics().CounterTotal("worker_restarts_total"),
+            total_restarts);
 
   // Full parity at the committed snapshot: replay reconstructed the state.
   for (VertexId s = 0; s < 6; ++s) {
@@ -446,7 +447,7 @@ TEST(RemoteFaultTest, ApplyTrafficBatchAutoRestartsDeadWorkers) {
   std::unique_ptr<RemoteShardedRoutingService> service =
       MustCreateRemoteFastFail(std::move(g), /*z=*/8, /*num_shards=*/2,
                                /*auto_restart=*/true);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr && reference != nullptr);
 
@@ -485,42 +486,6 @@ TEST(RemoteFaultTest, ApplyTrafficBatchAutoRestartsDeadWorkers) {
     ExpectIdenticalPaths(got.value().paths, want.value().paths,
                          "post-auto-restart q " + std::to_string(s));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bench remote_shard phase: the parity gate CI reads from the JSON.
-// ---------------------------------------------------------------------------
-
-TEST(BenchRunnerTest, RemoteShardPhaseReportsParity) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 5;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.remote_shards = 2;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const RemoteShardPhaseStats& phase = report.value().remote_shard;
-  EXPECT_EQ(phase.num_shards, 2u);
-  EXPECT_EQ(phase.requests, 15u);  // 5 queries x 3 default backends
-  EXPECT_EQ(phase.errors, 0u);
-  EXPECT_EQ(phase.mismatches, 0u);
-  EXPECT_EQ(phase.batches_applied, 2u);
-  EXPECT_EQ(phase.final_epoch, 2u);
-  EXPECT_EQ(phase.worker_restarts, 0u);
-  EXPECT_EQ(phase.rpc_deadline_expired, 0u);
-  EXPECT_GT(phase.rpc_calls, 0u);
-  EXPECT_EQ(phase.batch_size, 8u);  // default batched leg
-  EXPECT_EQ(phase.batches_submitted, 2u);  // ceil(15 / 8)
-  EXPECT_GT(phase.remote_qps, 0.0);
-  EXPECT_GT(phase.remote_batch_qps, 0.0);
-  EXPECT_GT(phase.inprocess_qps, 0.0);
-  std::string json = report.value().ToJson();
-  EXPECT_NE(json.find("\"remote_shard\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker_restarts\": 0"), std::string::npos);
 }
 
 // The admission surface crosses the process boundary unchanged: the remote

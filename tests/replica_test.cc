@@ -1,6 +1,6 @@
 // Tests for replicated shard workers (src/remote at num_replicas > 1):
 // replication must be invisible in the answers — byte-identical to the
-// in-process ShardedRoutingService no matter which replica serves each
+// in-process RoutingService no matter which replica serves each
 // partial fetch, across replica/shard counts, traffic, and every fault the
 // harness can script (a replica killed mid-two-phase-commit, a replica
 // silently missing epochs, a whole shard dead). Catch-up — in-place replay
@@ -27,7 +27,6 @@
 #include "ksp/path.h"
 #include "parity_harness.h"
 #include "remote/remote_sharded_routing_service.h"
-#include "shard/sharded_routing_service.h"
 
 namespace kspdg {
 namespace {
@@ -57,7 +56,7 @@ TEST(ReplicaTest, ReplicaParityAcrossShardAndReplicaCounts) {
     for (uint32_t num_shards : {1u, 2u, 4u}) {
       Graph g = MakeRandomConnected(40, 52, 1, 9, 401);
       Graph g_remote = g;
-      std::unique_ptr<ShardedRoutingService> sharded =
+      std::unique_ptr<RoutingService> sharded =
           MustCreateSharded(std::move(g), /*z=*/10, num_shards);
       std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateRemote(
           std::move(g_remote), /*z=*/10, num_shards, num_replicas);
@@ -134,6 +133,21 @@ TEST(ReplicaTest, ReplicaReadsRotateRoundRobin) {
     labeled.insert({shard, replica});
   }
   EXPECT_EQ(labeled.size(), 4u) << "expected a labeled series per replica";
+  // Every fleet member's own registry rode along, tagged with both its
+  // shard and replica labels.
+  EXPECT_EQ(fleet.GaugeSampleCount("worker_epoch"), 4u);
+  std::set<std::pair<std::string, std::string>> workers;
+  for (const CounterSample& counter : fleet.counters) {
+    if (counter.name.rfind("worker_", 0) != 0) continue;
+    std::string shard, replica;
+    for (const auto& [key, value] : counter.labels) {
+      if (key == "shard") shard = value;
+      if (key == "replica") replica = value;
+    }
+    if (!shard.empty()) workers.insert({shard, replica});
+  }
+  EXPECT_EQ(workers, (std::set<std::pair<std::string, std::string>>{
+                         {"0", "0"}, {"0", "1"}, {"1", "0"}, {"1", "1"}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -151,7 +165,7 @@ TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   plan->replica = 1;
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
       std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2, plan);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
 
@@ -186,12 +200,25 @@ TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
                         "after mid-batch kill, q " + std::to_string(s));
     }
   }
-  EXPECT_EQ(remote->counters().sharded.base.queries_rejected, 0u);
+  EXPECT_EQ(remote->Metrics().CounterTotal("queries_rejected_total"), 0u);
   // The surviving replica of shard 0 carried that shard's reads.
   const std::vector<RemoteWorkerInfo> after_queries = remote->WorkerInfos();
   const RemoteWorkerInfo* sibling = FindReplica(after_queries, 0, 0);
   ASSERT_NE(sibling, nullptr);
   EXPECT_TRUE(sibling->alive);
+
+  // Revival respawns exactly the victim and replays it to the committed
+  // epoch, after which it answers like everyone else.
+  Status restarted = remote->RestartDeadWorkers();
+  ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+  MetricsSnapshot fleet = remote->Metrics();
+  EXPECT_EQ(fleet.CounterTotal("worker_restarts_total"), 1u);
+  EXPECT_GE(fleet.CounterTotal("replica_catchups_total"), 1u);
+  for (VertexId s = 0; s < 6; ++s) {
+    ExpectQueryParity(*remote, *reference,
+                      MakeKindRequest(QueryKind::kKsp, s, 29 - s),
+                      "after revival, q " + std::to_string(s));
+  }
 }
 
 // A replica that silently misses an epoch (dropped prepare — a lost
@@ -207,7 +234,7 @@ TEST(ReplicaTest, ReplicaLaggingCatchUpConvergesEpochAndAnswers) {
   plan->replica = 0;
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
       std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2, plan);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
 
@@ -252,8 +279,8 @@ TEST(ReplicaTest, ReplicaLaggingCatchUpConvergesEpochAndAnswers) {
   const RemoteWorkerInfo* caught = FindReplica(after_catchup, 1, 0);
   ASSERT_NE(caught, nullptr);
   EXPECT_GE(caught->catchups, 1u);
-  EXPECT_GE(remote->counters().replica_catchups, 1u);
   MetricsSnapshot fleet = remote->Metrics();
+  EXPECT_GE(fleet.CounterTotal("replica_catchups_total"), 1u);
   size_t converged = 0;
   for (const GaugeSample& gauge : fleet.gauges) {
     if (gauge.name != "replica_epoch") continue;
@@ -282,7 +309,7 @@ TEST(ReplicaTest, ReplicaAllDeadShardYieldsUnavailableNoHang) {
   Graph g_ref = g;
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
       std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
 
@@ -313,13 +340,15 @@ TEST(ReplicaTest, ReplicaAllDeadShardYieldsUnavailableNoHang) {
   EXPECT_LT(elapsed.count(), 30) << "dead shard must fail fast, not hang";
   // Once both replicas are known dead, the failure is the documented
   // all-replicas-dead status.
-  Result<RouteResponse> after = remote->Query(MakeRequest(0, 25, kBackendKspDg, 4));
+  Result<RouteResponse> after =
+      remote->Query(MakeRequest(0, 25, kBackendKspDg, 4));
   if (!after.ok()) {
     EXPECT_EQ(after.status().code(), StatusCode::kUnavailable)
         << after.status().ToString();
   }
-  EXPECT_EQ(remote->counters().partial_rpc_errors,
-            remote->counters().sharded.base.queries_rejected);
+  MetricsSnapshot metrics = remote->Metrics();
+  EXPECT_EQ(metrics.CounterTotal("partial_fetch_errors_total"),
+            metrics.CounterTotal("queries_rejected_total"));
 }
 
 // The retained history is bounded by checkpoints, and a replica respawned
@@ -332,7 +361,7 @@ TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
       std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2,
       /*plan=*/nullptr, /*auto_restart=*/false, /*max_history_batches=*/2);
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
 
@@ -388,7 +417,7 @@ TEST_P(ReplicaRandomizedParitySweep, ReplicaRandomizedParitySweepSeeded) {
   std::mt19937 rng(seed);
   Graph g = MakeRandomConnected(32, 42, 1, 9, 500 + seed);
   Graph g_remote = g;
-  std::unique_ptr<ShardedRoutingService> reference =
+  std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2);
   // auto_restart on: a killed replica is revived by the next batch, so the
   // sweep exercises kill -> degraded reads -> respawn -> catch-up cycles.
@@ -480,9 +509,9 @@ TEST(ReplicaTest, ConcurrentReplicaQueriesWithKillAndRestart) {
   std::vector<WeightUpdate> first = traffic_a.NextBatch();
   std::vector<WeightUpdate> second = traffic_a.NextBatch();
   Graph g_ref2 = g_ref;
-  std::unique_ptr<ShardedRoutingService> ref_epoch1 =
+  std::unique_ptr<RoutingService> ref_epoch1 =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
-  std::unique_ptr<ShardedRoutingService> ref_epoch2 =
+  std::unique_ptr<RoutingService> ref_epoch2 =
       MustCreateSharded(std::move(g_ref2), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(ref_epoch1 != nullptr && ref_epoch2 != nullptr);
   ASSERT_TRUE(ref_epoch1->ApplyTrafficBatch(first).ok());
@@ -508,7 +537,7 @@ TEST(ReplicaTest, ConcurrentReplicaQueriesWithKillAndRestart) {
         error_count.fetch_add(1);
         continue;
       }
-      ShardedRoutingService& want_service =
+      RoutingService& want_service =
           got.value().epoch >= 2 ? *ref_epoch2 : *ref_epoch1;
       Result<RouteResponse> want =
           want_service.Query(MakeRequest(s, t, kBackendKspDg, 4));

@@ -25,8 +25,6 @@
 #include "ksp/path.h"
 #include "parity_harness.h"
 #include "partition/shard_assignment.h"
-#include "shard/sharded_routing_service.h"
-#include "workload/bench_runner.h"
 
 namespace kspdg {
 namespace {
@@ -37,7 +35,7 @@ namespace {
 
 TEST(ShardAssignmentTest, CoversEverySubgraphExactlyOnce) {
   Graph g = MakeRandomConnected(60, 80, 1, 9, 11);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/12, /*num_shards=*/3);
   ASSERT_TRUE(service != nullptr);
   const ShardAssignment& assignment = service->assignment();
@@ -61,7 +59,7 @@ TEST(ShardAssignmentTest, CoversEverySubgraphExactlyOnce) {
 
 TEST(ShardAssignmentTest, BalancesVerticesAcrossShards) {
   Graph g = MakeRandomConnected(120, 150, 1, 9, 13);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/16, /*num_shards=*/4);
   ASSERT_TRUE(service != nullptr);
   const ShardAssignment& assignment = service->assignment();
@@ -101,9 +99,9 @@ TEST(ShardAssignmentTest, RejectsZeroShardsAndToleratesSurplusShards) {
 TEST(ShardAssignmentTest, DeterministicForFixedInputs) {
   Graph g1 = MakeRandomConnected(50, 60, 1, 9, 19);
   Graph g2 = g1;
-  std::unique_ptr<ShardedRoutingService> a =
+  std::unique_ptr<RoutingService> a =
       MustCreateSharded(std::move(g1), /*z=*/10, /*num_shards=*/3);
-  std::unique_ptr<ShardedRoutingService> b =
+  std::unique_ptr<RoutingService> b =
       MustCreateSharded(std::move(g2), /*z=*/10, /*num_shards=*/3);
   ASSERT_TRUE(a != nullptr && b != nullptr);
   EXPECT_EQ(a->assignment().shard_of_subgraph,
@@ -123,7 +121,7 @@ TEST(ShardedRoutingServiceTest, ParityWithUnshardedOnAllBackends) {
       Graph g_sharded = g;
       std::unique_ptr<RoutingService> plain =
           MustCreatePlain(std::move(g), /*z=*/10);
-      std::unique_ptr<ShardedRoutingService> sharded =
+      std::unique_ptr<RoutingService> sharded =
           MustCreateSharded(std::move(g_sharded), /*z=*/10, num_shards);
       ASSERT_TRUE(plain != nullptr && sharded != nullptr);
 
@@ -148,7 +146,7 @@ TEST(ShardedRoutingServiceTest, CrossShardParityAfterTrafficBatches) {
     Graph g_sharded = g;
     std::unique_ptr<RoutingService> plain =
         MustCreatePlain(std::move(g), /*z=*/12);
-    std::unique_ptr<ShardedRoutingService> sharded =
+    std::unique_ptr<RoutingService> sharded =
         MustCreateSharded(std::move(g_sharded), /*z=*/12, num_shards);
     ASSERT_TRUE(plain != nullptr && sharded != nullptr);
 
@@ -205,7 +203,7 @@ TEST(ShardedRoutingServiceTest, CrossShardParityAfterTrafficBatches) {
 
 TEST(ShardedRoutingServiceTest, RejectsInvalidRequestsLikeUnsharded) {
   Graph g = MakeRandomConnected(16, 14, 1, 9, 43);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr);
   EXPECT_EQ(service->Query(MakeRequest(0, 5, kBackendYen, 0)).status().code(),
@@ -217,23 +215,22 @@ TEST(ShardedRoutingServiceTest, RejectsInvalidRequestsLikeUnsharded) {
   EXPECT_EQ(
       service->Query(MakeRequest(0, 5, "no-such-backend", 2)).status().code(),
       StatusCode::kNotFound);
-  ShardedServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.base.queries_ok, 0u);
-  EXPECT_EQ(counters.base.queries_rejected, 4u);
+  EXPECT_EQ(CounterTotal(*service, "queries_ok_total"), 0u);
+  EXPECT_EQ(CounterTotal(*service, "queries_rejected_total"), 4u);
 }
 
 TEST(ShardedRoutingServiceTest, CreateRejectsZeroShards) {
   Graph g = MakeRandomConnected(12, 10, 1, 9, 47);
-  ShardedRoutingServiceOptions options;
+  RoutingServiceOptions options;
   options.num_shards = 0;
   EXPECT_EQ(
-      ShardedRoutingService::Create(std::move(g), options).status().code(),
+      RoutingService::Create(std::move(g), options).status().code(),
       StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedRoutingServiceTest, TrafficBatchValidationIsAtomic) {
   Graph g = MakeRandomConnected(16, 14, 2, 9, 53);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr);
   Weight before = service->graph().ForwardWeight(0);
@@ -250,7 +247,7 @@ TEST(ShardedRoutingServiceTest, TrafficBatchValidationIsAtomic) {
 
 TEST(ShardedRoutingServiceTest, ShardInfosAndRoutingCountersAreCoherent) {
   Graph g = MakeRandomConnected(60, 80, 1, 9, 59);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/10, /*num_shards=*/3);
   ASSERT_TRUE(service != nullptr);
 
@@ -260,30 +257,30 @@ TEST(ShardedRoutingServiceTest, ShardInfosAndRoutingCountersAreCoherent) {
     ASSERT_TRUE(service->Query(request).ok());
   }
 
-  std::vector<ShardInfo> infos = service->ShardInfos();
-  ASSERT_EQ(infos.size(), 3u);
-  size_t subgraphs = 0;
+  const MetricsSnapshot metrics = service->Metrics();
+  ASSERT_EQ(service->num_shards(), 3u);
+  ASSERT_EQ(metrics.GaugeSampleCount("shard_epoch"), 3u);
   uint64_t shard_partials = 0;
-  for (const ShardInfo& info : infos) {
-    subgraphs += info.subgraphs;
-    shard_partials += info.partial_requests;
-    EXPECT_EQ(info.epoch, service->CurrentEpoch()) << info.shard;
-    EXPECT_GE(info.yen_runs, info.partial_requests) << info.shard;
+  for (ShardId shard = 0; shard < service->num_shards(); ++shard) {
+    const uint64_t requests =
+        ShardCounter(metrics, "partial_requests_total", shard);
+    shard_partials += requests;
+    EXPECT_GE(ShardCounter(metrics, "yen_runs_total", shard), requests)
+        << shard;
   }
-  EXPECT_EQ(subgraphs, service->dtlp().NumSubgraphs());
 
-  ShardedServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.base.queries_ok, 12u);
-  EXPECT_EQ(counters.single_shard_queries + counters.cross_shard_queries,
+  EXPECT_EQ(metrics.CounterTotal("queries_ok_total"), 12u);
+  EXPECT_EQ(metrics.CounterTotal("single_shard_queries_total") +
+                metrics.CounterTotal("cross_shard_queries_total"),
             12u);
-  EXPECT_GT(counters.direct_partial_requests +
-                counters.scattered_partial_requests,
-            0u);
+  const uint64_t routed =
+      metrics.CounterTotal("direct_partial_requests_total") +
+      metrics.CounterTotal("scattered_partial_requests_total");
+  EXPECT_GT(routed, 0u);
   // Every boundary-pair request landed on >= 1 shard; scattered requests
   // land on >= 2, so the shard-side tally must be at least the query-side
   // request count.
-  EXPECT_GE(shard_partials, counters.direct_partial_requests +
-                                counters.scattered_partial_requests);
+  EXPECT_GE(shard_partials, routed);
 }
 
 TEST(ShardedRoutingServiceTest, CustomSolversPlugIntoShardedService) {
@@ -296,11 +293,12 @@ TEST(ShardedRoutingServiceTest, CustomSolversPlugIntoShardedService) {
     }
   };
   Graph g = MakeRandomConnected(12, 10, 1, 9, 61);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr);
   ASSERT_TRUE(service->RegisterSolver(std::make_unique<EmptySolver>()).ok());
-  Result<RouteResponse> response = service->Query(MakeRequest(0, 9, "empty", 2));
+  Result<RouteResponse> response =
+      service->Query(MakeRequest(0, 9, "empty", 2));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_TRUE(response.value().paths.empty());
   // Once the first query has been served, the registry is frozen — the
@@ -329,7 +327,7 @@ TEST(ShardedRoutingServiceTest, DiverseAndShortestPathParityWithUnsharded) {
     Graph g_sharded = g;
     std::unique_ptr<RoutingService> plain =
         MustCreatePlain(std::move(g), /*z=*/10);
-    std::unique_ptr<ShardedRoutingService> sharded =
+    std::unique_ptr<RoutingService> sharded =
         MustCreateSharded(std::move(g_sharded), /*z=*/10, num_shards);
     ASSERT_TRUE(plain != nullptr && sharded != nullptr);
 
@@ -395,7 +393,7 @@ TEST(ShardedQueryBatchTest, DiverseBatchParityWithUnshardedSequential) {
   Graph g_sharded = g;
   std::unique_ptr<RoutingService> plain =
       MustCreatePlain(std::move(g), /*z=*/10);
-  std::unique_ptr<ShardedRoutingService> sharded =
+  std::unique_ptr<RoutingService> sharded =
       MustCreateSharded(std::move(g_sharded), /*z=*/10, /*num_shards=*/2);
   ASSERT_TRUE(plain != nullptr && sharded != nullptr);
 
@@ -429,8 +427,8 @@ TEST(ShardedQueryBatchTest, DiverseBatchParityWithUnshardedSequential) {
 TEST(ShardedRoutingServiceTest, ConcurrentScatterGatherAndUpdatesStayUniform) {
   Graph g = MakeRandomConnected(40, 50, 1, 1, 67);  // all weights 1
   const size_t num_edges = g.NumEdges();
-  std::unique_ptr<ShardedRoutingService> service = MustCreateSharded(
-      std::move(g), /*z=*/10, /*num_shards=*/4, /*apply_threads=*/2);
+  std::unique_ptr<RoutingService> service = MustCreateSharded(
+      std::move(g), /*z=*/10, /*num_shards=*/4);
   ASSERT_TRUE(service != nullptr);
 
   constexpr uint64_t kBatches = 10;
@@ -490,9 +488,9 @@ TEST(ShardedRoutingServiceTest, ConcurrentScatterGatherAndUpdatesStayUniform) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(checks.load(), 0u) << "readers never overlapped the updates";
   EXPECT_EQ(service->CurrentEpoch(), kBatches);
-  ShardedServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.base.batches_applied, kBatches);
-  EXPECT_EQ(counters.base.updates_applied, kBatches * num_edges);
+  EXPECT_EQ(CounterTotal(*service, "traffic_batches_total"), kBatches);
+  EXPECT_EQ(CounterTotal(*service, "weight_updates_total"),
+            kBatches * num_edges);
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +507,7 @@ TEST(ShardedQueryBatchTest, ParityWithUnshardedSequentialOnAllBackends) {
       Graph g_sharded = g;
       std::unique_ptr<RoutingService> plain =
           MustCreatePlain(std::move(g), /*z=*/10);
-      std::unique_ptr<ShardedRoutingService> sharded =
+      std::unique_ptr<RoutingService> sharded =
           MustCreateSharded(std::move(g_sharded), /*z=*/10, num_shards);
       ASSERT_TRUE(plain != nullptr && sharded != nullptr);
 
@@ -565,7 +563,7 @@ TEST(ShardedQueryBatchTest, ParityWithUnshardedSequentialOnAllBackends) {
 
 TEST(ShardedQueryBatchTest, MixedValidAndInvalidRequests) {
   Graph g = MakeRandomConnected(20, 24, 1, 9, 73);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr);
 
@@ -590,9 +588,8 @@ TEST(ShardedQueryBatchTest, MixedValidAndInvalidRequests) {
   EXPECT_EQ(b.items[4].status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(b.items[5].status.ok());
 
-  ShardedServiceCounters counters = service->counters();
-  EXPECT_EQ(counters.base.queries_ok, 2u);
-  EXPECT_EQ(counters.base.queries_rejected, 4u);
+  EXPECT_EQ(CounterTotal(*service, "queries_ok_total"), 2u);
+  EXPECT_EQ(CounterTotal(*service, "queries_rejected_total"), 4u);
 }
 
 // With one worker, a duplicate KSP-DG query inside one batch must be served
@@ -600,9 +597,9 @@ TEST(ShardedQueryBatchTest, MixedValidAndInvalidRequests) {
 // fresh partial-KSP computations, and the shard-side hit counters move.
 TEST(ShardedQueryBatchTest, PerShardScratchServesDuplicateInBatch) {
   Graph g = MakeRandomConnected(26, 32, 1, 9, 79);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2,
-                        /*apply_threads=*/0, /*batch_threads=*/1);
+                        /*batch_threads=*/1);
   ASSERT_TRUE(service != nullptr);
 
   std::vector<RouteRequest> requests = {MakeRequest(0, 25, kBackendKspDg, 5),
@@ -620,12 +617,14 @@ TEST(ShardedQueryBatchTest, PerShardScratchServesDuplicateInBatch) {
   EXPECT_EQ(second.partial_ksp_computations, 0u)
       << "second identical query should be fully served from the per-shard "
          "partial caches";
-  EXPECT_GT(service->counters().partial_cache_hits, 0u);
+  const MetricsSnapshot metrics = service->Metrics();
+  const uint64_t hits = metrics.CounterTotal("partial_cache_hits_total");
+  EXPECT_GT(hits, 0u);
   uint64_t shard_hits = 0;
-  for (const ShardInfo& info : service->ShardInfos()) {
-    shard_hits += info.partial_cache_hits;
+  for (ShardId shard = 0; shard < service->num_shards(); ++shard) {
+    shard_hits += ShardCounter(metrics, "partial_cache_hits_total", shard);
   }
-  EXPECT_EQ(shard_hits, service->counters().partial_cache_hits);
+  EXPECT_EQ(shard_hits, hits);
 
   // The caches persist across batches while the epoch holds still: a later
   // batch repeating the query is served warm as well.
@@ -643,9 +642,9 @@ TEST(ShardedQueryBatchTest, PerShardScratchServesDuplicateInBatch) {
 TEST(ShardedQueryBatchTest, PerShardCachesFlushWhenShardEpochBumps) {
   Graph g = MakeRandomConnected(26, 32, 1, 1, 83);  // all weights 1
   const size_t num_edges = g.NumEdges();
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2,
-                        /*apply_threads=*/0, /*batch_threads=*/1);
+                        /*batch_threads=*/1);
   ASSERT_TRUE(service != nullptr);
 
   std::vector<RouteRequest> requests = {MakeRequest(0, 25, kBackendKspDg, 4),
@@ -683,9 +682,9 @@ TEST(ShardedQueryBatchTest, PerShardCachesFlushWhenShardEpochBumps) {
 TEST(ShardedQueryBatchTest, UntouchedShardsKeepTheirCachesAcrossTraffic) {
   Graph g = MakeRandomConnected(48, 60, 1, 9, 91);
   Graph g_plain = g;
-  std::unique_ptr<ShardedRoutingService> sharded =
+  std::unique_ptr<RoutingService> sharded =
       MustCreateSharded(std::move(g), /*z=*/10, /*num_shards=*/3,
-                        /*apply_threads=*/0, /*batch_threads=*/1);
+                        /*batch_threads=*/1);
   std::unique_ptr<RoutingService> plain =
       MustCreatePlain(std::move(g_plain), /*z=*/10);
   ASSERT_TRUE(sharded != nullptr && plain != nullptr);
@@ -712,15 +711,16 @@ TEST(ShardedQueryBatchTest, UntouchedShardsKeepTheirCachesAcrossTraffic) {
   ASSERT_TRUE(sharded->ApplyTrafficBatch(noop).ok());
   EXPECT_EQ(sharded->CurrentEpoch(), 1u);
 
-  std::vector<ShardInfo> before = sharded->ShardInfos();
+  const MetricsSnapshot before = sharded->Metrics();
   Result<RouteBatchResponse> repeat = sharded->QueryBatch(requests);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
   ASSERT_EQ(repeat.value().num_ok, requests.size());
-  std::vector<ShardInfo> after_noop = sharded->ShardInfos();
-  for (const ShardInfo& info : after_noop) {
-    if (info.shard == touched_shard) continue;
-    EXPECT_EQ(info.partial_requests, before[info.shard].partial_requests)
-        << "shard " << info.shard
+  const MetricsSnapshot after_noop = sharded->Metrics();
+  for (ShardId shard = 0; shard < sharded->num_shards(); ++shard) {
+    if (shard == touched_shard) continue;
+    EXPECT_EQ(ShardCounter(after_noop, "partial_requests_total", shard),
+              ShardCounter(before, "partial_requests_total", shard))
+        << "shard " << shard
         << " recomputed partials although its slice never changed";
   }
 
@@ -750,7 +750,7 @@ TEST(ShardedQueryBatchTest, UntouchedShardsKeepTheirCachesAcrossTraffic) {
 
 TEST(ShardedSubmitBatchTest, TicketMatchesSynchronousQueryBatch) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 89);
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       MustCreateSharded(std::move(g), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr);
 
@@ -787,8 +787,8 @@ TEST(ShardedSubmitBatchTest, TicketMatchesSynchronousQueryBatch) {
 TEST(ShardedSubmitBatchTest, ConcurrentSubmitAndTrafficStayUniform) {
   Graph g = MakeRandomConnected(40, 50, 1, 1, 97);  // all weights 1
   const size_t num_edges = g.NumEdges();
-  std::unique_ptr<ShardedRoutingService> service = MustCreateSharded(
-      std::move(g), /*z=*/10, /*num_shards=*/3, /*apply_threads=*/2);
+  std::unique_ptr<RoutingService> service = MustCreateSharded(
+      std::move(g), /*z=*/10, /*num_shards=*/3);
   ASSERT_TRUE(service != nullptr);
 
   constexpr uint64_t kBatches = 8;
@@ -861,82 +861,20 @@ TEST(ShardedSubmitBatchTest, ConcurrentSubmitAndTrafficStayUniform) {
   EXPECT_EQ(service->CurrentEpoch(), kBatches);
 }
 
-// ---------------------------------------------------------------------------
-// Bench shard phase.
-// ---------------------------------------------------------------------------
-
-TEST(BenchRunnerTest, ShardPhaseReportsParity) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 5;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.shards = 2;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const ShardPhaseStats& shard = report.value().shard;
-  EXPECT_EQ(shard.num_shards, 2u);
-  EXPECT_EQ(shard.requests, 15u);  // 5 queries x 3 default backends
-  EXPECT_EQ(shard.errors, 0u);
-  EXPECT_EQ(shard.mismatches, 0u);
-  EXPECT_EQ(shard.batches_applied, 2u);
-  EXPECT_EQ(shard.final_epoch, 2u);
-  EXPECT_GT(shard.direct_partials + shard.scattered_partials, 0u);
-  EXPECT_GT(shard.single_shard_queries + shard.cross_shard_queries, 0u);
-  EXPECT_GE(shard.max_subgraphs_per_shard, shard.min_subgraphs_per_shard);
-  EXPECT_GT(shard.sharded_qps, 0.0);
-  EXPECT_GT(shard.unsharded_qps, 0.0);
-  std::string json = report.value().ToJson();
-  EXPECT_NE(json.find("\"num_shards\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"mismatches\": 0"), std::string::npos);
-}
-
-TEST(BenchRunnerTest, ShardBatchPhaseReportsParity) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 5;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.shards = 2;
-  options.batch_size = 4;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const ShardBatchPhaseStats& combined = report.value().shard_batch;
-  EXPECT_EQ(combined.num_shards, 2u);
-  EXPECT_EQ(combined.batch_size, 4u);
-  EXPECT_EQ(combined.requests, 15u);  // 5 queries x 3 default backends
-  EXPECT_EQ(combined.batches_submitted, 4u);  // ceil(15 / 4)
-  EXPECT_EQ(combined.errors, 0u);
-  EXPECT_EQ(combined.mismatches, 0u);
-  EXPECT_EQ(combined.non_uniform_batches, 0u);
-  EXPECT_GT(combined.direct_partials + combined.scattered_partials, 0u);
-  EXPECT_GT(combined.sharded_batch_qps, 0.0);
-  EXPECT_GT(combined.unsharded_sequential_qps, 0.0);
-  std::string json = report.value().ToJson();
-  EXPECT_NE(json.find("\"shard_batch\""), std::string::npos);
-  EXPECT_NE(json.find("\"batches_submitted\": 4"), std::string::npos);
-}
-
 // The admission surface is part of the shared serving contract: the
 // sharded service answers deadline/quota pressure exactly like the plain
 // one and exports the same admission series names, readable through the
 // same AdmissionCountersFrom view.
 TEST(ShardedRoutingServiceTest, AdmissionSeriesMatchThePlainService) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 101);
-  ShardedRoutingServiceOptions options;
+  RoutingServiceOptions options;
   options.dtlp.partition.max_vertices = 10;
   options.num_shards = 2;
   options.per_tenant_quota = 1;
-  Result<std::unique_ptr<ShardedRoutingService>> service_or =
-      ShardedRoutingService::Create(std::move(g), std::move(options));
+  Result<std::unique_ptr<RoutingService>> service_or =
+      RoutingService::Create(std::move(g), std::move(options));
   ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
-  std::unique_ptr<ShardedRoutingService> service =
+  std::unique_ptr<RoutingService> service =
       std::move(service_or).value();
 
   RouteRequest expired = MakeRequest(0, 29, kBackendYen, 3);

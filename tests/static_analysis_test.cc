@@ -116,8 +116,11 @@ TEST(SharedMutexWrapperTest, AdmitsConcurrentReaders) {
     readers.emplace_back([&] {
       ReaderMutexLock guard(mu);
       inside.fetch_add(1);
-      // Spin briefly so the two shared holds overlap.
-      for (int spin = 0; spin < 1000 && inside.load() < 2; ++spin) {
+      // Wait (bounded) for the other reader so the two shared holds
+      // overlap however slowly the threads start.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (inside.load() < 2 && std::chrono::steady_clock::now() < give_up) {
         std::this_thread::yield();
       }
       if (inside.load() == 2) both_seen.store(true);

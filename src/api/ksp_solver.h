@@ -54,17 +54,12 @@ struct SolverInput {
 /// one scratch per (worker, backend) pair in an arena that outlives any
 /// single batch and hands it back on every Solve call that worker makes, so
 /// per-query allocations — Yen's ban buffers — are pooled instead of
-/// rebuilt per request. A scratch is never used by two threads at once.
-/// Weight-dependent cached state is dropped through OnSnapshotChange()
-/// whenever the epoch moved since the arena's last use.
+/// rebuilt per request. A scratch is never used by two threads at once and
+/// outlives traffic batches, so it must hold nothing derived from edge
+/// weights.
 class SolverScratch {
  public:
   virtual ~SolverScratch() = default;
-
-  /// The weight snapshot changed since this scratch was last used: discard
-  /// any cached state derived from edge weights. Buffers whose contents are
-  /// weight-independent (e.g. epoch-stamped ban arrays) may be kept.
-  virtual void OnSnapshotChange() {}
 };
 
 class KspSolver {
@@ -102,14 +97,6 @@ struct SolverScratchArena {
     }
     by_solver.emplace_back(solver, solver->NewScratch());
     return by_solver.back().second.get();
-  }
-
-  /// The weight snapshot moved: drop weight-derived cached state from every
-  /// pooled scratch before the arena is used at the new epoch.
-  void OnSnapshotChange() {
-    for (auto& [solver, scratch] : by_solver) {
-      if (scratch != nullptr) scratch->OnSnapshotChange();
-    }
   }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,9 +20,8 @@ uint64_t PairKey(VertexId a, VertexId b) {
 }
 
 /// The in-process backend: every shard is a slice of the coordinator's own
-/// DTLP, so a fetch computes inline (the caller holds the shard's reader
-/// lock, the stand-in for shipping the request to the shard's server) and
-/// the coordinator's per-shard apply is the shard's whole update.
+/// DTLP, so a fetch computes inline under the caller's snapshot hold, and
+/// the coordinator's master apply is every shard's whole update.
 class InProcessShardBackend final : public ShardBackend {
  public:
   explicit InProcessShardBackend(const Dtlp& dtlp) : dtlp_(dtlp) {}
@@ -79,9 +77,9 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
         caches_(max_cached_pairs_ != 0 ? service.shards_.size() : 0),
         shard_touched_(service.shards_.size(), 0) {}
 
-  /// Binds the read pin this provider computes under. The pin must stay
-  /// alive for every ComputePartials call until rebound.
-  void BindPin(const EpochCoordinator::ReadPin* pin) { pin_ = pin; }
+  /// Binds the epoch the caller pinned: every ComputePartials call until
+  /// the next bind runs under that shared snapshot hold.
+  void BindEpoch(uint64_t epoch) { epoch_ = epoch; }
 
   /// Resets the per-query state (touch tracking and error; caches
   /// persist). A query that opted out of partial reuse
@@ -128,7 +126,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
       shard_touched_[shard_id] = 1;
       ShardCache* cache = use_caches_ ? &caches_[shard_id] : nullptr;
       if (cache != nullptr) {
-        // Stable under the pin — writers are excluded by the global lock.
+        // Stable under the snapshot hold, which excludes writers.
         const uint64_t weights_epoch =
             shard.weights_epoch.load(std::memory_order_acquire);
         if (cache->epoch != weights_epoch) {
@@ -146,12 +144,8 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
         }
       }
       std::vector<SubgraphPartials> lists;
-      Status fetched;
-      {
-        EpochReaderLock lock = pin_->LockShard(shard_id);
-        fetched = service_.backend_->FetchPartials(
-            shard_id, owned, x, y, depth, pin_->epoch(), &lists);
-      }
+      Status fetched = service_.backend_->FetchPartials(shard_id, owned, x, y,
+                                                        depth, epoch_, &lists);
       if (fetched.ok() && lists.size() != owned.size()) {
         fetched = Status::Internal(
             "shard " + std::to_string(shard_id) + " returned " +
@@ -237,7 +231,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
   const RoutingService& service_;
   /// RoutingOptions::partial_cache_pairs, or 0 for a non-caching provider.
   const size_t max_cached_pairs_;
-  const EpochCoordinator::ReadPin* pin_ = nullptr;
+  uint64_t epoch_ = 0;
   std::vector<ShardCache> caches_;
   bool use_caches_ = false;
   std::vector<char> shard_touched_;
@@ -282,12 +276,10 @@ Status RoutingService::Init(const BackendFactory& make_backend) {
   if (!assignment.ok()) return assignment.status();
   assignment_ = std::move(assignment).value();
   registry_ = SolverRegistry::Default();
-  epochs_ = std::make_unique<EpochCoordinator>(assignment_.num_shards);
 
   // Wire instrumentation before any traffic: every hot-path handle is
   // resolved here, so serving pays one relaxed fetch_add per event and
   // never touches the registry mutex.
-  const EpochCoordinator* epochs = epochs_.get();
   for (ShardId shard = 0; shard < assignment_.num_shards; ++shard) {
     auto owned = std::make_unique<Shard>();
     const MetricLabels labels = {{"shard", std::to_string(shard)}};
@@ -299,9 +291,6 @@ Status RoutingService::Init(const BackendFactory& make_backend) {
         metrics_.GetCounter("partial_cache_skips_total", labels);
     owned->cache_flushes =
         metrics_.GetCounter("partial_cache_flushes_total", labels);
-    metrics_.AddGaugeCallback("shard_epoch", labels, [epochs, shard] {
-      return static_cast<int64_t>(epochs->shard(shard));
-    });
     shards_.push_back(std::move(owned));
   }
   svc_metrics_.Init(metrics_, registry_.Names());
@@ -310,17 +299,14 @@ Status RoutingService::Init(const BackendFactory& make_backend) {
   direct_partials_ = metrics_.GetCounter("direct_partial_requests_total");
   scattered_partials_ = metrics_.GetCounter("scattered_partial_requests_total");
   partial_fetch_errors_ = metrics_.GetCounter("partial_fetch_errors_total");
-  epochs_->global_lock().InstrumentWriter(
+  snapshot_lock_.InstrumentWriter(
       metrics_.GetCounter("epoch_writer_drains_total"),
       metrics_.GetHistogram("epoch_writer_wait_micros", {},
                             LatencyBucketsMicros()));
-  metrics_.AddGaugeCallback("epoch", {}, [epochs] {
-    return static_cast<int64_t>(epochs->global());
+  metrics_.AddGaugeCallback("epoch", {}, [this] {
+    return static_cast<int64_t>(CurrentEpoch());
   });
 
-  unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  apply_pool_ = std::make_unique<ThreadPool>(
-      static_cast<unsigned>(std::min<size_t>(shards_.size(), hw)));
   batch_pool_ =
       std::make_unique<ThreadPool>(DefaultBatchThreads(options_.batch_threads));
   {
@@ -444,10 +430,11 @@ Result<RouteResponse> RoutingService::Query(const RouteRequest& request) const {
     return status;
   }
   ShardPartialProvider provider(*this, /*cache=*/false);
-  EpochCoordinator::ReadPin pin(*epochs_);
-  provider.BindPin(&pin);
+  EpochReaderLock pin(snapshot_lock_);
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  provider.BindEpoch(epoch);
   Result<RouteResponse> response =
-      SolvePrepared(request, prepared, provider, nullptr, pin.epoch());
+      SolvePrepared(request, prepared, provider, nullptr, epoch);
   if (!response.ok()) svc_metrics_.RecordQueryFailure(response.status());
   return response;
 }
@@ -484,24 +471,18 @@ Result<RouteBatchResponse> RoutingService::QueryBatch(
                      return a.route.solver->name() < b.route.solver->name();
                    });
 
-  // Phase 3 (snapshot section): ONE read pin covers every solve, so the
+  // Phase 3 (snapshot section): ONE shared hold covers every solve, so the
   // whole batch is answered at a single epoch — a concurrent
-  // ApplyTrafficBatch waits on the global lock and can never tear it.
+  // ApplyTrafficBatch waits on the snapshot lock and can never tear it.
   MutexLock batch_guard(batch_mu_);
   {
-    EpochCoordinator::ReadPin pin(*epochs_);
+    EpochReaderLock pin(snapshot_lock_);
     WallTimer timer;
-    const uint64_t epoch = pin.epoch();
+    const uint64_t epoch = epoch_.load(std::memory_order_acquire);
     batch.epoch = epoch;
-    if (arena_epoch_ != epoch) {
-      // Weights moved since the arenas were last warm: weight-derived
-      // solver caches must not survive into this snapshot.
-      for (BatchWorker& worker : batch_workers_) {
-        worker.arena.OnSnapshotChange();
-      }
-      arena_epoch_ = epoch;
+    for (BatchWorker& worker : batch_workers_) {
+      worker.provider->BindEpoch(epoch);
     }
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(&pin);
     // The pool threads do not hold batch_mu_ — they are handed disjoint
     // worker slots while this thread keeps the whole batch section locked,
     // which the analysis cannot see through the lambda. The raw pointer is
@@ -525,11 +506,6 @@ Result<RouteBatchResponse> RoutingService::QueryBatch(
             item.status = response.status();
           }
         });
-    // The pin dies with this scope; unbind so a stale pointer can never be
-    // dereferenced by a later mis-sequenced call.
-    for (BatchWorker& worker : batch_workers_) {
-      worker.provider->BindPin(nullptr);
-    }
     batch.batch_micros = timer.ElapsedMicros();
   }
 
@@ -551,82 +527,34 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     std::span<const WeightUpdate> updates) {
   // Validate before taking any lock: a rejected batch must leave every
   // snapshot untouched (and NumEdges is immutable, so no lock is needed).
-  for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph_.NumEdges()) {
-      return Status::InvalidArgument(
-          "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph_.NumEdges()) +
-          " edges)");
-    }
-    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-      return Status::InvalidArgument("updated weights must be positive");
-    }
-  }
-
-  // Group updates by owning subgraph (every edge has at most one owner).
-  // Per-subgraph lists preserve the batch's relative order, so repeated
-  // updates to one edge resolve identically however the slices are split.
+  KSPDG_RETURN_NOT_OK(ValidateWeightUpdates(graph_, updates));
+  // Updates per shard: which shards' cached partials go stale, and what
+  // each shard owner must report having applied.
   const Partition& partition = dtlp_->partition();
-  std::vector<std::vector<WeightUpdate>> per_subgraph(dtlp_->NumSubgraphs());
-  std::vector<SubgraphId> touched;
+  std::vector<uint64_t> updates_of_shard(shards_.size(), 0);
   for (const WeightUpdate& update : updates) {
     SubgraphId sgid = partition.subgraph_of_edge[update.edge];
     if (sgid == kInvalidSubgraph) continue;
-    if (per_subgraph[sgid].empty()) touched.push_back(sgid);
-    per_subgraph[sgid].push_back(update);
-  }
-  std::vector<std::vector<SubgraphId>> touched_of_shard(shards_.size());
-  std::vector<uint64_t> updates_of_shard(shards_.size(), 0);
-  for (SubgraphId sgid : touched) {
-    ShardId shard = assignment_.shard_of_subgraph[sgid];
-    touched_of_shard[shard].push_back(sgid);
-    updates_of_shard[shard] += per_subgraph[sgid].size();
-  }
-  for (std::vector<SubgraphId>& list : touched_of_shard) {
-    std::sort(list.begin(), list.end());
+    ++updates_of_shard[assignment_.shard_of_subgraph[sgid]];
   }
 
-  // Exclusive snapshot section: drain every read pin, then move the master
-  // state and every shard to the next global epoch together.
-  EpochWriterLock lock(epochs_->global_lock());
-  const uint64_t epoch = epochs_->BeginAdvance();
-  // Master: flat graph weights (the baselines' view of the snapshot).
+  // Exclusive snapshot section: drain every reader, then move the master
+  // state and every shard owner to the next epoch together.
+  EpochWriterLock lock(snapshot_lock_);
+  const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  // Flat graph weights (the baselines' view of the snapshot), then
+  // Algorithm 2 on the DTLP master.
   for (const WeightUpdate& update : updates) graph_.SetWeight(update);
-
-  // Per-shard slice of Algorithm 2, each under its shard's writer lock —
-  // the in-process analogue of the paper's per-server update application.
-  std::vector<std::vector<SubgraphId>> refreshed_of_shard(shards_.size());
-  apply_pool_->ParallelFor(
-      shards_.size(), /*chunk=*/1, [&](unsigned, size_t si) {
-        if (touched_of_shard[si].empty()) return;
-        EpochWriterLock shard_lock(epochs_->shard_lock(si));
-        for (SubgraphId sgid : touched_of_shard[si]) {
-          dtlp_->ApplyUpdatesToSubgraph(sgid, per_subgraph[sgid]);
-          if (dtlp_->RefreshSubgraph(sgid)) {
-            refreshed_of_shard[si].push_back(sgid);
-          }
-        }
-        // The slice changed: invalidate this shard's cached partials.
-        // Untouched shards keep their stamp, so their caches stay warm.
-        shards_[si]->weights_epoch.store(epoch, std::memory_order_release);
-      });
-  backend_->Prepare(epoch, updates, updates_of_shard);
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    epochs_->PublishShard(si, epoch);
-  }
-
-  // Master: refresh the skeleton from the subgraphs whose bounds changed,
-  // in ascending subgraph order for determinism, then commit the epoch.
   TrafficBatchResult result;
-  std::vector<SubgraphId> refreshed;
-  for (const std::vector<SubgraphId>& list : refreshed_of_shard) {
-    refreshed.insert(refreshed.end(), list.begin(), list.end());
+  result.dtlp = dtlp_->ApplyUpdates(updates);
+  for (size_t si = 0; si < shards_.size(); ++si) {
+    // The slice changed: invalidate this shard's cached partials.
+    // Untouched shards keep their stamp, so their caches stay warm.
+    if (updates_of_shard[si] > 0) {
+      shards_[si]->weights_epoch.store(epoch, std::memory_order_release);
+    }
   }
-  std::sort(refreshed.begin(), refreshed.end());
-  for (SubgraphId sgid : refreshed) {
-    dtlp_->PushSubgraphBoundsToSkeleton(sgid);
-    result.dtlp.skeleton_pairs_refreshed += dtlp_->index(sgid).pairs().size();
-  }
+  backend_->Prepare(epoch, updates, updates_of_shard);
   if (cands_ != nullptr) {
     // CANDS maintenance: every touched subgraph's exact boundary-pair
     // shortest paths are recomputed — deliberately inside the exclusive
@@ -636,12 +564,10 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     result.cands = cands_->ApplyUpdates(updates);
     result.cands_micros = cands_timer.ElapsedMicros();
   }
-  epochs_->Commit(epoch);
+  epoch_.store(epoch, std::memory_order_release);
   backend_->Commit(epoch, updates);
 
   result.epoch = epoch;
-  for (uint64_t n : updates_of_shard) result.dtlp.updates_applied += n;
-  result.dtlp.subgraphs_touched = touched.size();
   svc_metrics_.RecordTrafficBatch(updates.size());
   return result;
 }

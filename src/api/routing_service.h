@@ -13,23 +13,22 @@
 // RemoteShardedRoutingService. Answers never depend on the shard count or
 // the backend.
 //
-// Concurrency is epoch-based snapshotting through one EpochCoordinator
-// (core/epoch_coordinator.h):
+// Concurrency is epoch-based snapshotting under one write-preferring
+// EpochLock, the snapshot lock, plus an atomic committed epoch:
 //
-//   Query / QueryBatch  ReadPin (global shared lock) freezes every shard at
-//                       the committed epoch; each partial fetch also holds
-//                       its shard's reader lock. A QueryBatch takes ONE pin
-//                       and runs on the service pool, where each worker
-//                       keeps per-(shard, worker) partial caches that stay
-//                       warm across batches until that shard's weights move.
+//   Query / QueryBatch  a shared hold on the snapshot lock freezes the
+//                       master and every shard at the committed epoch; the
+//                       partial fetches of every shard run under it. A
+//                       QueryBatch takes ONE hold and runs on the service
+//                       pool, where each worker keeps per-(shard, worker)
+//                       partial caches that stay warm across batches until
+//                       that shard's weights move.
 //   SubmitBatch         async QueryBatch: bounded, admission-controlled
 //                       submission queue plus a ticket.
-//   ApplyTrafficBatch   global exclusive lock (drains every pin), then the
-//                       batch fans out per shard — each shard's slice of
-//                       Algorithm 2 under that shard's writer lock — the
-//                       backend moves the shard owners, and the coordinator
-//                       refreshes the skeleton and CANDS and commits ONE
-//                       global epoch.
+//   ApplyTrafficBatch   exclusive hold (drains every reader), then
+//                       Algorithm 2 on the master through
+//                       Dtlp::ApplyUpdates, the backend moves the shard
+//                       owners, CANDS is rebuilt, and ONE epoch commits.
 //
 // Every response carries the epoch it was answered at, so clients can detect
 // staleness and tests can assert that no query ever observed a half-applied
@@ -50,7 +49,7 @@
 #include "api/service_metrics.h"
 #include "api/shard_backend.h"
 #include "cands/cands.h"
-#include "core/epoch_coordinator.h"
+#include "core/epoch_lock.h"
 #include "core/mutex.h"
 #include "core/status.h"
 #include "core/submission_queue.h"
@@ -75,8 +74,7 @@ struct RoutingServiceOptions {
   /// and is reported in TrafficBatchResult. Disable to skip both costs.
   bool enable_cands = true;
   /// Shards the subgraph set is split over (>= 1; shards beyond the
-  /// subgraph count own nothing). A traffic batch fans out over one thread
-  /// per shard, capped at the hardware thread count.
+  /// subgraph count own nothing).
   uint32_t num_shards = 1;
   /// Threads answering one QueryBatch (0 = one per hardware thread, capped
   /// at 16; 1 = batches execute inline on the caller). The pool is owned by
@@ -117,7 +115,7 @@ class RoutingService : public RoutingServiceInterface {
   Result<RouteResponse> Query(const RouteRequest& request) const override;
 
   /// Answers a whole batch of queries on ONE snapshot: requests are
-  /// validated up front, the read pin is taken once, and the valid
+  /// validated up front, the snapshot lock is held once, and the valid
   /// requests are grouped by backend and executed on the service's pool.
   /// Each worker keeps solver scratch plus per-(shard, worker) partial
   /// caches that stay warm across batches until the shard's weights move,
@@ -139,7 +137,7 @@ class RoutingService : public RoutingServiceInterface {
 
   /// Applies one batch of weight updates atomically across the coordinator
   /// and every shard: the flat weights, the shards' subgraph copies, the
-  /// skeleton, and CANDS move to the next global epoch together, with all
+  /// skeleton, and CANDS move to the next epoch together, with all
   /// concurrent queries drained. The batch is validated up front and
   /// rejected as a whole on any bad entry. Thread-safe.
   Result<TrafficBatchResult> ApplyTrafficBatch(
@@ -153,8 +151,10 @@ class RoutingService : public RoutingServiceInterface {
   /// caller's setup bug to avoid.)
   Status RegisterSolver(std::unique_ptr<KspSolver> solver);
 
-  /// Committed global epoch (0 until the first batch).
-  uint64_t CurrentEpoch() const override { return epochs_->global(); }
+  /// Committed epoch (0 until the first batch).
+  uint64_t CurrentEpoch() const override {
+    return epoch_.load(std::memory_order_acquire);
+  }
 
   /// Registered backend names, sorted.
   std::vector<std::string> BackendNames() const override {
@@ -193,15 +193,16 @@ class RoutingService : public RoutingServiceInterface {
   Status Init(const BackendFactory& make_backend);
 
   MetricsRegistry& metrics_registry() { return metrics_; }
-  const EpochCoordinator& epochs() const { return *epochs_; }
+  /// The snapshot lock: shared by every read, exclusive for every write of
+  /// the snapshot state (a subclass's too).
+  EpochLock& snapshot_lock() const { return snapshot_lock_; }
 
  private:
   /// One shard's coordinator-side state. The subgraph/index storage stays
-  /// inside the shared Dtlp (per-subgraph operations are thread-safe across
-  /// distinct subgraphs); the shard's lock is owned by the EpochCoordinator.
+  /// inside the master Dtlp.
   struct Shard {
     /// Epoch at which this shard's slice (subgraph weight copies) last
-    /// actually changed — NOT the published epoch, which advances on every
+    /// actually changed — NOT the committed epoch, which advances on every
     /// traffic batch. Cached partials derive only from the slice, so the
     /// per-(shard, worker) caches flush against this stamp: a batch that
     /// never touched this shard leaves its cached partials warm and valid.
@@ -270,25 +271,22 @@ class RoutingService : public RoutingServiceInterface {
   mutable std::atomic<bool> serving_{false};
   ShardAssignment assignment_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Owns the global + per-shard locks and the epoch advance protocol; all
-  /// read paths pin the snapshot through EpochCoordinator::ReadPin.
-  std::unique_ptr<EpochCoordinator> epochs_;
-  /// Executes the per-shard ApplyTrafficBatch fan-out (inline at 1 shard).
-  std::unique_ptr<ThreadPool> apply_pool_;
-  /// Executes QueryBatch work items (separate from apply_pool_: one runs
-  /// under the global shared lock, the other under the exclusive lock).
+  /// Readers hold it shared, ApplyTrafficBatch exclusively. Mutable so the
+  /// const query paths can take it; it carries no logical state.
+  mutable EpochLock snapshot_lock_{"RoutingService::snapshot_lock"};
+  /// Committed epoch: advanced only under the exclusive snapshot lock,
+  /// readable without it (CurrentEpoch, the epoch gauge).
+  std::atomic<uint64_t> epoch_{0};
+  /// Executes QueryBatch work items.
   std::unique_ptr<ThreadPool> batch_pool_;
 
   /// Serialises the parallel section of concurrent QueryBatch calls and
-  /// guards the persistent worker state below. Taken BEFORE the read pin so
-  /// queued batches wait outside the snapshot section — a waiting traffic
-  /// writer then drains at most one in-flight batch, not the whole queue.
+  /// guards the persistent worker state below. Taken BEFORE the snapshot
+  /// lock so queued batches wait outside the snapshot section — a waiting
+  /// traffic writer then drains at most one in-flight batch, not the whole
+  /// queue.
   mutable Mutex batch_mu_{"RoutingService::batch_mu_"};
   mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);
-  /// Global epoch the worker arenas were last used at; a mismatch triggers
-  /// SolverScratch::OnSnapshotChange() before the batch runs. The partial
-  /// caches flush themselves per shard, against Shard::weights_epoch.
-  mutable uint64_t arena_epoch_ GUARDED_BY(batch_mu_) = 0;
 
   /// Query/update handles into metrics_.
   ServiceMetrics svc_metrics_;

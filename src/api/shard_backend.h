@@ -9,18 +9,19 @@
 //
 //   in-process (the default)  each shard is a slice of the coordinator's own
 //                             DTLP; a partial fetch runs PartialsInSubgraph
-//                             inline under the shard's reader lock, and the
-//                             coordinator's per-shard apply of Algorithm 2 is
-//                             the shard's whole update.
+//                             inline, and the coordinator's master apply of
+//                             Algorithm 2 is every shard's whole update.
 //   RPC replica set           each shard is a set of shard_worker processes
 //                             (src/remote); a fetch is a PartialsRequest to
 //                             one replica with failover, and a traffic batch
-//                             is replicated by a two-phase prepare/commit.
+//                             is replicated by a two-phase prepare/commit in
+//                             which each worker runs Dtlp::ApplyUpdates on
+//                             its owned updates.
 //
 // Everything else — grouping a boundary pair's subgraphs by shard, the
 // per-(shard, worker) partial caches, the MergeSubgraphPartials gather, the
-// query-poisoning error path, traffic validation and per-subgraph grouping —
-// lives in the coordinator once, so both backends share it.
+// query-poisoning error path, and traffic validation (ValidateWeightUpdates)
+// — lives in the coordinator once, so both backends share it.
 #ifndef KSPDG_API_SHARD_BACKEND_H_
 #define KSPDG_API_SHARD_BACKEND_H_
 
@@ -42,7 +43,7 @@ class ShardBackend {
   /// Appends one partial list per subgraph of `owned` (ascending ids, all
   /// owned by `shard`), in `owned` order: the up-to-`depth` shortest x -> y
   /// paths inside that subgraph, in global ids, at weight epoch `epoch`.
-  /// Called under the coordinator's read pin and the shard's reader lock.
+  /// Called under a shared hold of the coordinator's snapshot lock.
   /// A non-OK status poisons the query that asked (its answer is discarded).
   virtual Status FetchPartials(ShardId shard,
                                std::span<const SubgraphId> owned, VertexId x,
@@ -51,10 +52,10 @@ class ShardBackend {
 
   /// Moves the shard owners to `epoch` with `updates`, of which
   /// `updates_of_shard[s]` fall in shard s's subgraphs. Runs under the
-  /// coordinator's exclusive lock, after its own master apply. The
-  /// coordinator publishes every shard at `epoch` afterwards: its master
-  /// copy is the source of truth, so an owner that fails here must take
-  /// itself out of the read path rather than fail the batch.
+  /// coordinator's exclusive snapshot lock, after its own master apply. The
+  /// coordinator commits `epoch` afterwards: its master copy is the source
+  /// of truth, so an owner that fails here must take itself out of the read
+  /// path rather than fail the batch.
   virtual void Prepare(uint64_t /*epoch*/,
                        std::span<const WeightUpdate> /*updates*/,
                        std::span<const uint64_t> /*updates_of_shard*/) {}

@@ -39,9 +39,8 @@ namespace kspdg {
 class CAPABILITY("epoch_lock") EpochLock {
  public:
   EpochLock() = default;
-  /// `name` labels this lock in lock-order diagnostics (instances sharing a
-  /// role share a name, e.g. every per-shard lock is
-  /// "EpochCoordinator::shard_lock"). Must outlive the lock.
+  /// `name` labels this lock's role in lock-order diagnostics, e.g.
+  /// "RoutingService::snapshot_lock". Must outlive the lock.
   explicit EpochLock(const char* name) : name_(name) {}
 
   EpochLock(const EpochLock&) = delete;
@@ -143,11 +142,6 @@ class CAPABILITY("epoch_lock") EpochLock {
 
   const char* name() const { return name_; }
 
-  /// Assigns the diagnostics name after construction — for locks that live
-  /// in arrays, where a constructor argument cannot be passed. Call before
-  /// the lock is shared between threads.
-  void set_name(const char* name) { name_ = name; }
-
  private:
   Mutex mu_{"EpochLock::mu_"};
   CondVar cv_readers_;
@@ -159,7 +153,7 @@ class CAPABILITY("epoch_lock") EpochLock {
   /// only under mu_, on the writer path.
   Counter writer_drains_ GUARDED_BY(mu_);
   Histogram writer_wait_micros_ GUARDED_BY(mu_);
-  const char* name_ = "EpochLock";
+  const char* const name_ = "EpochLock";
 };
 
 /// RAII exclusive hold on an EpochLock (the annotated std::unique_lock).
@@ -193,8 +187,6 @@ class SCOPED_CAPABILITY EpochWriterLock {
 };
 
 /// RAII shared hold on an EpochLock (the annotated std::shared_lock).
-/// Returned by value from EpochCoordinator::LockShard — guaranteed copy
-/// elision constructs it in place, so it needs (and has) no move support.
 class SCOPED_CAPABILITY EpochReaderLock {
  public:
   explicit EpochReaderLock(EpochLock& lock) ACQUIRE_SHARED(lock)

@@ -7,7 +7,7 @@
 //
 // Model: every annotated lock (core::Mutex, EpochLock) reports its
 // acquisitions and releases here with a *name* — a string naming the lock's
-// role, e.g. "EpochCoordinator::global_lock". Each thread keeps the stack
+// role, e.g. "RoutingService::snapshot_lock". Each thread keeps the stack
 // of names it currently holds; every acquisition of B while holding A adds
 // the directed edge A -> B to one global acquisition-order graph. A new
 // edge that closes a cycle means two code paths acquire the same pair of
@@ -18,12 +18,11 @@
 // runs once, on any thread, in any interleaving — far stronger than hoping
 // the actual deadlock manifests under test.
 //
-// Instances sharing a name are one graph node: the per-shard EpochLocks all
-// report as "EpochCoordinator::shard_lock", so an order violation against
-// any shard's lock is caught, while acquiring two *sibling* shard locks is
-// deliberately not flagged (same-name self-edges are skipped; readers hold
-// siblings concurrently by design and shared holds cannot deadlock each
-// other). A condition-variable wait keeps its mutex in the held stack: the
+// Instances sharing a name are one graph node (every ReplicaFleet worker's
+// mutex reports as "ReplicaFleet::Worker::mu"), so an order violation
+// against any instance is caught, while acquiring two *sibling* instances
+// is deliberately not flagged (same-name self-edges are skipped). A
+// condition-variable wait keeps its mutex in the held stack: the
 // reacquisition on wakeup is the same lock, and the edges recorded at the
 // original acquisition stay valid.
 #ifndef KSPDG_CORE_LOCK_ORDER_H_

@@ -59,29 +59,33 @@ void Dtlp::ApplyUpdatesToSubgraph(SubgraphId sgid,
 
 DtlpUpdateStats Dtlp::ApplyUpdates(std::span<const WeightUpdate> updates) {
   DtlpUpdateStats stats;
-  std::vector<SubgraphId> dirty;
+  // Every edge has at most one owning subgraph. The per-subgraph lists keep
+  // the batch's relative order, so repeated updates to one edge resolve
+  // identically however the subgraphs are scheduled.
+  std::vector<std::vector<WeightUpdate>> per_subgraph(NumSubgraphs());
+  std::vector<SubgraphId> touched;
   for (const WeightUpdate& upd : updates) {
     if (upd.edge >= partition_->subgraph_of_edge.size()) continue;
     SubgraphId sgid = partition_->subgraph_of_edge[upd.edge];
     if (sgid == kInvalidSubgraph) continue;
-    Subgraph& sg = partition_->subgraphs[sgid];
-    EdgeId local = sg.LocalEdgeOf(upd.edge);
-    Weight old_fwd = sg.local().ForwardWeight(local);
-    Weight old_bwd = sg.local().BackwardWeight(local);
-    sg.ApplyUpdate(upd);
-    indexes_[sgid].OnWeightChange(local, old_fwd, old_bwd);
+    if (per_subgraph[sgid].empty()) touched.push_back(sgid);
+    per_subgraph[sgid].push_back(upd);
     ++stats.updates_applied;
-    if (dirty.empty() || dirty.back() != sgid) dirty.push_back(sgid);
   }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (SubgraphId sgid : dirty) {
-    if (indexes_[sgid].Refresh()) {
-      PushSubgraphBoundsToSkeleton(sgid);
-      stats.skeleton_pairs_refreshed += indexes_[sgid].pairs().size();
-    }
+  std::sort(touched.begin(), touched.end());
+  // Each owning server updates its subgraphs independently...
+  std::vector<char> refreshed(touched.size(), 0);
+  ParallelFor(touched.size(), options_.build_threads, [&](size_t i) {
+    ApplyUpdatesToSubgraph(touched[i], per_subgraph[touched[i]]);
+    refreshed[i] = indexes_[touched[i]].Refresh();
+  });
+  // ...and the master folds the changed bounds into Gλ in a fixed order.
+  for (size_t i = 0; i < touched.size(); ++i) {
+    if (refreshed[i] == 0) continue;
+    PushSubgraphBoundsToSkeleton(touched[i]);
+    stats.skeleton_pairs_refreshed += indexes_[touched[i]].pairs().size();
   }
-  stats.subgraphs_touched = dirty.size();
+  stats.subgraphs_touched = touched.size();
   return stats;
 }
 

@@ -40,9 +40,14 @@ class Dtlp {
   static Result<std::unique_ptr<Dtlp>> Build(const Graph& g,
                                              const DtlpOptions& options);
 
-  /// Applies a batch of weight updates (Algorithm 2): updates the subgraph
-  /// weight copies, maintains bounding-path distances through the EP-Index,
-  /// recomputes lower bounds of touched subgraphs, and refreshes Gλ.
+  /// Applies a batch of weight updates (Algorithm 2) — the one
+  /// implementation every deployment runs. The batch is grouped per owning
+  /// subgraph, keeping batch order within each group; the touched subgraphs
+  /// then update their weight copies, maintain their bounding-path distances
+  /// through the EP-Index and recompute their lower bounds in parallel
+  /// (options().build_threads, the servers owning them); finally the
+  /// refreshed bounds enter Gλ serially, in ascending subgraph order.
+  /// Updates naming an edge outside every subgraph are skipped.
   DtlpUpdateStats ApplyUpdates(std::span<const WeightUpdate> updates);
 
   const Graph& graph() const { return *graph_; }
@@ -52,31 +57,24 @@ class Dtlp {
 
   size_t NumSubgraphs() const { return partition_->subgraphs.size(); }
   const SubgraphIndex& index(SubgraphId sg) const { return indexes_[sg]; }
-  SubgraphIndex& mutable_index(SubgraphId sg) { return indexes_[sg]; }
 
   /// Memory accounting for the construction-cost figures.
   size_t EpIndexMemoryBytes() const;
   size_t SkeletonMemoryBytes() const { return skeleton_.MemoryBytes(); }
 
-  // --- Distributed-deployment building blocks ------------------------------
-  // The simulated cluster applies updates per owning server in parallel;
-  // these per-subgraph steps are thread-safe across *distinct* subgraphs.
-
-  /// Applies updates that all belong to subgraph `sg` (weight copies +
-  /// level-1 maintenance). Does not touch the skeleton.
-  void ApplyUpdatesToSubgraph(SubgraphId sg,
-                              std::span<const WeightUpdate> updates);
-
-  /// Recomputes subgraph `sg`'s lower bounds; returns true if any changed.
-  bool RefreshSubgraph(SubgraphId sg) { return indexes_[sg].Refresh(); }
-
-  /// Re-publishes subgraph `sg`'s pair bounds into the skeleton graph.
-  /// NOT thread-safe; call from a single (master) thread.
-  void PushSubgraphBoundsToSkeleton(SubgraphId sg);
-
  private:
   Dtlp(const Graph& g, DtlpOptions options)
       : graph_(&g), options_(std::move(options)) {}
+
+  /// Applies updates that all belong to subgraph `sg` (weight copies +
+  /// level-1 maintenance), in order. Does not touch the skeleton; safe to
+  /// run concurrently for distinct subgraphs.
+  void ApplyUpdatesToSubgraph(SubgraphId sg,
+                              std::span<const WeightUpdate> updates);
+
+  /// Re-publishes subgraph `sg`'s pair bounds into the skeleton graph.
+  /// Not thread-safe.
+  void PushSubgraphBoundsToSkeleton(SubgraphId sg);
 
   const Graph* graph_;  // original graph (not owned; topology + vfrags only)
   DtlpOptions options_;

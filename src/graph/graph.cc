@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <string>
 #include <vector>
 
 namespace kspdg {
@@ -32,6 +33,22 @@ bool Graph::IsConnected() const {
     }
   }
   return count == NumVertices();
+}
+
+Status ValidateWeightUpdates(const Graph& graph,
+                             std::span<const WeightUpdate> updates) {
+  for (const WeightUpdate& update : updates) {
+    if (update.edge >= graph.NumEdges()) {
+      return Status::InvalidArgument(
+          "update references edge " + std::to_string(update.edge) +
+          " out of range (graph has " + std::to_string(graph.NumEdges()) +
+          " edges)");
+    }
+    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
+      return Status::InvalidArgument("updated weights must be positive");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace kspdg

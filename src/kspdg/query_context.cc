@@ -16,15 +16,13 @@ uint64_t PairKey(VertexId a, VertexId b) {
 
 QueryContext::QueryContext(const Dtlp& dtlp, PartialProvider* provider,
                            VertexId s, VertexId t,
-                           const KspDgOptions& options,
-                           PartialCacheStore* shared_cache)
+                           const KspDgOptions& options)
     : dtlp_(dtlp),
       provider_(provider),
       options_(options),
       s_(s),
       t_(t),
-      overlay_(dtlp.skeleton()),
-      cache_(shared_cache != nullptr ? shared_cache : &owned_cache_) {}
+      overlay_(dtlp.skeleton()) {}
 
 void QueryContext::AttachEndpoint(VertexId v, bool is_source,
                                   SkeletonId* id_out) {
@@ -94,7 +92,7 @@ const std::vector<Path>& QueryContext::Partials(VertexId x, VertexId y,
                                                 size_t depth,
                                                 bool* exhausted) {
   uint64_t key = PairKey(x, y);
-  PartialCacheStore::Entry& entry = cache_->entries[key];
+  PartialCacheStore::Entry& entry = cache_.entries[key];
   // A cached entry is reusable if it was computed at least as deep, or if
   // the subgraphs were already exhausted (deeper fetches cannot add paths).
   if (entry.depth >= depth || (entry.depth > 0 && entry.exhausted)) {
@@ -148,7 +146,7 @@ std::vector<Path> QueryContext::Join(const std::vector<Path>& prefixes,
 
 std::vector<Path> QueryContext::CandidateKsp(
     const std::vector<SkeletonId>& reference) {
-  if (!options_.reuse_partials) cache_->entries.clear();
+  if (!options_.reuse_partials) cache_.entries.clear();
   const size_t k = options_.k;
   // Translate the reference path to global vertex ids.
   std::vector<VertexId> refs;
@@ -192,14 +190,13 @@ std::vector<Path> QueryContext::CandidateKsp(
 
 KspQueryResult RunKspDgQuery(const Dtlp& dtlp, PartialProvider* provider,
                              VertexId s, VertexId t,
-                             const KspDgOptions& options,
-                             PartialCacheStore* cache) {
+                             const KspDgOptions& options) {
   KspQueryResult result;
   if (s == t) {
     result.paths.push_back(Path{{s}, 0});
     return result;
   }
-  QueryContext ctx(dtlp, provider, s, t, options, cache);
+  QueryContext ctx(dtlp, provider, s, t, options);
   if (!ctx.BuildOverlay()) return result;  // isolated endpoint: no paths
 
   YenEnumerator<SkeletonOverlay> reference_paths(ctx.overlay(),

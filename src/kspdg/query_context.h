@@ -16,12 +16,9 @@
 
 namespace kspdg {
 
-/// Cache of partial k-shortest paths between boundary pairs (§5.2), keyed by
-/// (x, y). Entries depend only on the weight snapshot, not on the query, so
-/// a store may be shared by many queries *at one frozen snapshot* — e.g. all
-/// requests a batch worker answers under a single service reader-lock hold.
-/// Never reuse a store across ApplyTrafficBatch calls, and never share one
-/// between threads.
+/// One query's cache of partial k-shortest paths between boundary pairs
+/// (§5.2), keyed by (x, y). Reuse across queries lives in the partial
+/// provider (see RoutingService), which knows when a shard's weights move.
 struct PartialCacheStore {
   struct Entry {
     std::vector<Path> paths;
@@ -33,16 +30,8 @@ struct PartialCacheStore {
 
 class QueryContext {
  public:
-  /// `shared_cache` (optional) substitutes an external partial-path cache
-  /// for the context-owned one, carrying warm entries across queries.
   QueryContext(const Dtlp& dtlp, PartialProvider* provider, VertexId s,
-               VertexId t, const KspDgOptions& options,
-               PartialCacheStore* shared_cache = nullptr);
-
-  // cache_ may point at owned_cache_: copying/moving would alias the source
-  // object's cache.
-  QueryContext(const QueryContext&) = delete;
-  QueryContext& operator=(const QueryContext&) = delete;
+               VertexId t, const KspDgOptions& options);
 
   /// Builds the endpoint overlay. Returns false if an endpoint cannot be
   /// attached (isolated vertex with no incident edges).
@@ -76,19 +65,15 @@ class QueryContext {
   SkeletonId sid_ = kInvalidVertex;
   SkeletonId tid_ = kInvalidVertex;
 
-  PartialCacheStore owned_cache_;  // fallback when no shared cache is given
-  PartialCacheStore* cache_;
+  PartialCacheStore cache_;
   KspDgQueryStats stats_;
 };
 
 /// The shared Algorithm 3 driver: iterates reference paths over the overlay
-/// until the top-k list provably contains the KSPs. `cache` (optional) lets
-/// consecutive queries at one weight snapshot reuse partial-path results
-/// (see PartialCacheStore for the sharing rules).
+/// until the top-k list provably contains the KSPs.
 KspQueryResult RunKspDgQuery(const Dtlp& dtlp, PartialProvider* provider,
                              VertexId s, VertexId t,
-                             const KspDgOptions& options,
-                             PartialCacheStore* cache = nullptr);
+                             const KspDgOptions& options);
 
 }  // namespace kspdg
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <sstream>
+
+#include "core/wire_codec.h"
 
 namespace kspdg {
 namespace {
@@ -103,104 +104,26 @@ void AppendLabelsJson(std::ostringstream& os, const MetricLabels& labels) {
   os << '}';
 }
 
-// --- Minimal little-endian wire helpers (self-contained so src/obs does
-// not depend on src/rpc; the rpc layer ships these blobs opaquely). ---
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutF64(std::string& out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutStr(std::string& out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out.append(s.data(), s.size());
-}
-
-class WireCursor {
- public:
-  explicit WireCursor(std::string_view data) : data_(data) {}
-
-  bool U32(uint32_t* v) {
-    if (data_.size() - pos_ < 4) return Fail();
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-
-  bool U64(uint64_t* v) {
-    if (data_.size() - pos_ < 8) return Fail();
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-
-  bool F64(double* v) {
-    uint64_t bits = 0;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool Str(std::string* s) {
-    uint32_t len = 0;
-    if (!U32(&len) || len > kMaxWireString) return Fail();
-    if (data_.size() - pos_ < len) return Fail();
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  bool Fail() {
-    ok_ = false;
-    return false;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-bool ReadLabels(WireCursor& cur, MetricLabels* labels) {
+bool ReadLabels(WireReader& r, MetricLabels* labels) {
   uint32_t n = 0;
-  if (!cur.U32(&n) || n > kMaxWireLabels) return false;
+  if (!r.U32(&n).ok() || n > kMaxWireLabels) return false;
   labels->clear();
   labels->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     std::string k, v;
-    if (!cur.Str(&k) || !cur.Str(&v)) return false;
+    if (!r.Str(&k, kMaxWireString).ok() || !r.Str(&v, kMaxWireString).ok()) {
+      return false;
+    }
     labels->emplace_back(std::move(k), std::move(v));
   }
   return true;
 }
 
-void PutLabels(std::string& out, const MetricLabels& labels) {
-  PutU32(out, static_cast<uint32_t>(labels.size()));
+void PutLabels(WireWriter& w, const MetricLabels& labels) {
+  w.U32(static_cast<uint32_t>(labels.size()));
   for (const auto& [k, v] : labels) {
-    PutStr(out, k);
-    PutStr(out, v);
+    w.Str(k);
+    w.Str(v);
   }
 }
 
@@ -371,78 +294,87 @@ std::string MetricsSnapshot::ToJson() const {
 }
 
 std::string MetricsSnapshot::EncodeWire() const {
-  std::string out;
-  PutU32(out, static_cast<uint32_t>(counters.size()));
+  WireWriter w;
+  w.U32(static_cast<uint32_t>(counters.size()));
   for (const auto& s : counters) {
-    PutStr(out, s.name);
-    PutLabels(out, s.labels);
-    PutU64(out, s.value);
+    w.Str(s.name);
+    PutLabels(w, s.labels);
+    w.U64(s.value);
   }
-  PutU32(out, static_cast<uint32_t>(gauges.size()));
+  w.U32(static_cast<uint32_t>(gauges.size()));
   for (const auto& s : gauges) {
-    PutStr(out, s.name);
-    PutLabels(out, s.labels);
-    PutU64(out, static_cast<uint64_t>(s.value));
+    w.Str(s.name);
+    PutLabels(w, s.labels);
+    w.U64(static_cast<uint64_t>(s.value));
   }
-  PutU32(out, static_cast<uint32_t>(histograms.size()));
+  w.U32(static_cast<uint32_t>(histograms.size()));
   for (const auto& s : histograms) {
-    PutStr(out, s.name);
-    PutLabels(out, s.labels);
-    PutU32(out, static_cast<uint32_t>(s.bounds.size()));
-    for (double b : s.bounds) PutF64(out, b);
-    for (uint64_t b : s.buckets) PutU64(out, b);
-    PutF64(out, s.sum);
+    w.Str(s.name);
+    PutLabels(w, s.labels);
+    w.U32(static_cast<uint32_t>(s.bounds.size()));
+    for (double b : s.bounds) w.F64(b);
+    for (uint64_t b : s.buckets) w.U64(b);
+    w.F64(s.sum);
   }
-  return out;
+  return w.Take();
 }
 
 Status MetricsSnapshot::DecodeWire(std::string_view payload,
                                    MetricsSnapshot* out) {
   MetricsSnapshot decoded;
-  WireCursor cur(payload);
+  WireReader r(payload);
+  // Any read failure or count over its cap reports the same error.
+  auto name_and_labels = [&r](std::string* name, MetricLabels* labels) {
+    return r.Str(name, kMaxWireString).ok() && ReadLabels(r, labels);
+  };
+  auto count = [&r](uint32_t* n, uint32_t cap) {
+    return r.U32(n).ok() && *n <= cap;
+  };
   auto malformed = [] {
     return Status::InvalidArgument("malformed metrics snapshot payload");
   };
 
   uint32_t n = 0;
-  if (!cur.U32(&n) || n > kMaxWireSamples) return malformed();
+  if (!count(&n, kMaxWireSamples)) return malformed();
   decoded.counters.resize(n);
   for (auto& s : decoded.counters) {
-    if (!cur.Str(&s.name) || !ReadLabels(cur, &s.labels) || !cur.U64(&s.value))
+    if (!name_and_labels(&s.name, &s.labels) || !r.U64(&s.value).ok()) {
       return malformed();
+    }
   }
 
-  if (!cur.U32(&n) || n > kMaxWireSamples) return malformed();
+  if (!count(&n, kMaxWireSamples)) return malformed();
   decoded.gauges.resize(n);
   for (auto& s : decoded.gauges) {
     uint64_t bits = 0;
-    if (!cur.Str(&s.name) || !ReadLabels(cur, &s.labels) || !cur.U64(&bits))
+    if (!name_and_labels(&s.name, &s.labels) || !r.U64(&bits).ok()) {
       return malformed();
+    }
     s.value = static_cast<int64_t>(bits);
   }
 
-  if (!cur.U32(&n) || n > kMaxWireSamples) return malformed();
+  if (!count(&n, kMaxWireSamples)) return malformed();
   decoded.histograms.resize(n);
   for (auto& s : decoded.histograms) {
     uint32_t num_bounds = 0;
-    if (!cur.Str(&s.name) || !ReadLabels(cur, &s.labels) ||
-        !cur.U32(&num_bounds) || num_bounds > kMaxWireBounds) {
+    if (!name_and_labels(&s.name, &s.labels) ||
+        !count(&num_bounds, kMaxWireBounds)) {
       return malformed();
     }
     s.bounds.resize(num_bounds);
     for (auto& b : s.bounds) {
-      if (!cur.F64(&b)) return malformed();
+      if (!r.F64(&b).ok()) return malformed();
     }
     s.buckets.resize(num_bounds + 1);
     s.count = 0;
     for (auto& b : s.buckets) {
-      if (!cur.U64(&b)) return malformed();
+      if (!r.U64(&b).ok()) return malformed();
       s.count += b;
     }
-    if (!cur.F64(&s.sum)) return malformed();
+    if (!r.F64(&s.sum).ok()) return malformed();
   }
 
-  if (!cur.AtEnd()) return malformed();
+  if (!r.ExpectEnd().ok()) return malformed();
   *out = std::move(decoded);
   return Status::OK();
 }

@@ -65,7 +65,7 @@ std::atomic<uint64_t> g_instance_counter{0};
 // per shard, plus the replication log (checkpoint + retained history) that
 // revives them. Every method that touches the fleet's membership or log
 // (Prepare, Commit, RestartDeadWorkers, the checkpoint accessors) runs
-// under the coordinator's global epoch lock — exclusive for writers, shared
+// under the coordinator's snapshot lock — exclusive for writers, shared
 // for readers — which is the log's only guard.
 class ReplicaFleet final : public ShardBackend {
  public:
@@ -212,8 +212,8 @@ class ReplicaFleet final : public ShardBackend {
   }
 
   // Phase one: fan the FULL batch out to every replica that is alive at the
-  // preceding epoch (each filters to its owned subgraphs with the same
-  // deterministic grouping). A failed prepare marks the replica dead (its
+  // preceding epoch (each applies the updates its subgraphs own through
+  // Dtlp::ApplyUpdates). A failed prepare marks the replica dead (its
   // reads fail over to siblings until restart) instead of failing or
   // stalling the batch. A replica already lagging is skipped — prepares
   // apply strictly in epoch order — and stays out of the read rotation
@@ -318,7 +318,7 @@ class ReplicaFleet final : public ShardBackend {
   }
 
   /// See RemoteShardedRoutingService::RestartDeadWorkers; the caller holds
-  /// the global exclusive lock.
+  /// the exclusive snapshot lock.
   Status RestartDeadWorkers() {
     // A worker that crashed without a failed RPC still looks alive; a cheap
     // ping flushes silent deaths out (and refreshes each survivor's
@@ -411,14 +411,14 @@ class ReplicaFleet final : public ShardBackend {
   }
 
   uint32_t num_replicas() const { return options_.num_replicas; }
-  /// Callers hold the global epoch lock (shared is enough).
+  /// Callers hold the snapshot lock (shared is enough).
   uint64_t checkpoint_epoch() const { return checkpoint_epoch_; }
   size_t history_size() const { return history_.size(); }
 
  private:
   /// One replica worker process: transport handle, liveness, and its read
   /// share. `mu` serialises calls on the single connection; `pid` is
-  /// written only under the coordinator's global exclusive lock (or during
+  /// written only under the coordinator's exclusive snapshot lock (or during
   /// Create); `epoch` is additionally refreshed from ping replies, and both
   /// are read through atomics for monitoring and read routing.
   struct Worker {
@@ -708,8 +708,8 @@ class ReplicaFleet final : public ShardBackend {
   /// Latest checkpoint: a full copy of the graph as of checkpoint_epoch_
   /// (the pristine Create-time graph at epoch 0 until the first checkpoint
   /// is taken) — what a (re)spawned worker is loaded with before the
-  /// retained history is replayed onto it. Guarded by the global exclusive
-  /// lock, like everything below.
+  /// retained history is replayed onto it. Guarded by the exclusive
+  /// snapshot lock, like everything below.
   Graph checkpoint_graph_;
   uint64_t checkpoint_epoch_ = 0;
   /// Traffic batches committed after checkpoint_epoch_, in commit order —
@@ -748,7 +748,7 @@ RemoteShardedRoutingService::Create(
 
 Status RemoteShardedRoutingService::RestartDeadWorkers() {
   // Exclusive: restarting swaps worker state under queries' feet otherwise.
-  EpochWriterLock lock(epochs().global_lock());
+  EpochWriterLock lock(snapshot_lock());
   return fleet_->RestartDeadWorkers();
 }
 
@@ -768,14 +768,14 @@ uint32_t RemoteShardedRoutingService::num_replicas() const {
 }
 
 uint64_t RemoteShardedRoutingService::checkpoint_epoch() const {
-  // The log only mutates under the exclusive half of the global epoch
-  // lock; a shared hold is enough here.
-  EpochReaderLock pin(epochs().global_lock());
+  // The log only mutates under the exclusive half of the snapshot lock; a
+  // shared hold is enough here.
+  EpochReaderLock pin(snapshot_lock());
   return fleet_->checkpoint_epoch();
 }
 
 size_t RemoteShardedRoutingService::history_size() const {
-  EpochReaderLock pin(epochs().global_lock());
+  EpochReaderLock pin(snapshot_lock());
   return fleet_->history_size();
 }
 

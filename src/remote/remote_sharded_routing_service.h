@@ -24,11 +24,12 @@
 //             one answers, the bytes are identical. Only an all-replicas-
 //             dead shard fails a query (kUnavailable), through the core's
 //             query-poisoning path — never a hang, never a wrong answer.
-//   writes    two-phase cross-process epoch commit under the core's global
-//             exclusive lock: EpochPrepare RPCs fan the full batch out to
-//             every replica alive at the preceding epoch (each filters to
-//             its owned subgraphs and applies its slice of Algorithm 2), the
-//             core commits, then best-effort EpochCommit acknowledgements.
+//   writes    two-phase cross-process epoch commit under the core's
+//             exclusive snapshot lock: EpochPrepare RPCs fan the full
+//             batch out to every replica alive at the preceding epoch (each
+//             filters to its owned subgraphs and runs Dtlp::ApplyUpdates
+//             on them), the core commits, then best-effort EpochCommit
+//             acknowledgements.
 //             A replica that fails its prepare is marked dead rather than
 //             failing the batch. The epoch sequence IS the replication log
 //             (single writer, so no consensus round is needed).

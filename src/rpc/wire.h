@@ -2,9 +2,8 @@
 //
 // Every message is a plain struct with an Encode() producing the frame
 // payload and a static Decode(payload, out) returning Status — corrupt or
-// truncated payloads are rejected, never trusted. Integers are
-// little-endian fixed width; doubles travel as their IEEE-754 bit pattern
-// (bit-exact round-trip — the remote parity guarantee depends on it).
+// truncated payloads are rejected, never trusted. The byte format is the
+// WireWriter/WireReader codec (core/wire_codec.h).
 //
 // The protocol is deliberately small: load-graph (worker bootstrap +
 // restart), partial-list request/reply (the KSP-DG refine step), epoch
@@ -21,6 +20,7 @@
 
 #include "core/status.h"
 #include "core/types.h"
+#include "core/wire_codec.h"
 #include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "ksp/path.h"
@@ -44,43 +44,6 @@ enum class MessageType : uint8_t {
   kShutdownRequest = 11,
   kShutdownReply = 12,
   kErrorReply = 13,
-};
-
-/// Appends little-endian primitives to a payload string.
-class WireWriter {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  /// IEEE-754 bit pattern, so weights round-trip bit-exactly.
-  void F64(double v);
-  /// Length-prefixed byte string.
-  void Str(std::string_view s);
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked reader over a payload; every read fails with
-/// kInvalidArgument instead of running off the end.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  Status U8(uint8_t* v);
-  Status U32(uint32_t* v);
-  Status U64(uint64_t* v);
-  Status F64(double* v);
-  Status Str(std::string* s);
-
-  /// All bytes consumed? Trailing garbage is a protocol error.
-  Status ExpectEnd() const;
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 // --- Messages --------------------------------------------------------------
@@ -154,11 +117,11 @@ struct PartialsReply {
 };
 
 /// Phase one of the cross-process traffic apply: the full update batch for
-/// `epoch` (== worker's current epoch + 1). The worker filters the batch to
-/// its owned subgraphs with the same deterministic grouping the coordinator
-/// uses, applies Algorithm 2 to them, and replies. Re-sending the epoch the
-/// worker already prepared replays the stored reply (absolute weights make
-/// the apply idempotent), so a retry after a lost reply is safe.
+/// `epoch` (== worker's current epoch + 1). The worker keeps the updates
+/// its subgraphs own, runs Dtlp::ApplyUpdates on them (the coordinator's
+/// Algorithm 2), and replies. Re-sending the epoch the worker already
+/// prepared replays the stored reply (absolute weights make the apply
+/// idempotent), so a retry after a lost reply is safe.
 struct EpochPrepareRequest {
   uint64_t epoch = 0;
   std::vector<WeightUpdate> updates;
@@ -170,7 +133,8 @@ struct EpochPrepareRequest {
 struct EpochPrepareReply {
   uint64_t epoch = 0;
   /// Updates that landed in subgraphs this worker owns (the coordinator
-  /// cross-checks this against its own grouping to detect divergence).
+  /// cross-checks this against its own per-shard count to detect
+  /// divergence).
   uint64_t updates_applied = 0;
   /// Owned subgraphs touched by the batch.
   uint64_t subgraphs_touched = 0;

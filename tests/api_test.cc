@@ -17,6 +17,7 @@
 #include "api/ksp_solver.h"
 #include "api/routing_options.h"
 #include "api/routing_service.h"
+#include "dtlp_check.h"
 #include "graph/generators.h"
 #include "graph/traffic_model.h"
 #include "ksp/path.h"
@@ -132,6 +133,8 @@ TEST(RoutingServiceTest, BackendParityAfterTrafficBatches) {
                     1e-9)
             << label;
       }
+      // The service's Algorithm 2 leaves the index a fresh build would give.
+      ExpectMatchesFreshBuild(service->dtlp(), service->graph(), label);
     }
     EXPECT_EQ(service->CurrentEpoch(), 4u);
   }

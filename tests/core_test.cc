@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/epoch_coordinator.h"
 #include "core/epoch_lock.h"
 #include "core/indexed_heap.h"
 #include "core/parallel_for.h"
@@ -353,103 +352,6 @@ TEST(EpochLockTest, WriterIsNotStarvedByReaderChurn) {
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(writes.load(), 50);
-}
-
-TEST(EpochCoordinatorTest, AdvanceProtocolMovesAllShardsTogether) {
-  EpochCoordinator epochs(3);
-  EXPECT_EQ(epochs.num_shards(), 3u);
-  EXPECT_EQ(epochs.global(), 0u);
-  EXPECT_TRUE(epochs.Consistent());
-
-  uint64_t next = epochs.BeginAdvance();
-  EXPECT_EQ(next, 1u);
-  EXPECT_EQ(epochs.global(), 0u);  // not committed yet
-  epochs.PublishShard(0, next);
-  epochs.PublishShard(1, next);
-  EXPECT_FALSE(epochs.Consistent());  // shard 2 still at the old epoch
-  epochs.PublishShard(2, next);
-  epochs.Commit(next);
-  EXPECT_EQ(epochs.global(), 1u);
-  EXPECT_TRUE(epochs.Consistent());
-  for (size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(epochs.shard(shard), 1u) << shard;
-  }
-}
-
-TEST(EpochCoordinatorTest, ShardsPublishConcurrently) {
-  constexpr size_t kShards = 8;
-  EpochCoordinator epochs(kShards);
-  for (uint64_t round = 1; round <= 20; ++round) {
-    uint64_t next = epochs.BeginAdvance();
-    EXPECT_EQ(next, round);
-    std::vector<std::thread> workers;
-    for (size_t shard = 0; shard < kShards; ++shard) {
-      workers.emplace_back(
-          [&epochs, shard, next] { epochs.PublishShard(shard, next); });
-    }
-    for (std::thread& t : workers) t.join();
-    epochs.Commit(next);
-    EXPECT_EQ(epochs.global(), round);
-    EXPECT_TRUE(epochs.Consistent());
-  }
-}
-
-TEST(EpochCoordinatorTest, SingleShardDegeneratesToPlainCounter) {
-  EpochCoordinator epochs(1);
-  for (uint64_t round = 1; round <= 5; ++round) {
-    uint64_t next = epochs.BeginAdvance();
-    epochs.PublishShard(0, next);
-    epochs.Commit(next);
-  }
-  EXPECT_EQ(epochs.global(), 5u);
-  EXPECT_EQ(epochs.shard(0), 5u);
-  EXPECT_TRUE(epochs.Consistent());
-}
-
-TEST(EpochCoordinatorTest, ReadPinObservesOneCoherentSnapshot) {
-  EpochCoordinator epochs(3);
-  {
-    uint64_t next = epochs.BeginAdvance();
-    for (size_t shard = 0; shard < 3; ++shard) epochs.PublishShard(shard, next);
-    epochs.Commit(next);
-  }
-  EpochCoordinator::ReadPin pin(epochs);
-  EXPECT_EQ(pin.epoch(), 1u);
-  for (size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(pin.shard_epoch(shard), pin.epoch()) << shard;
-    EpochReaderLock lock = pin.LockShard(shard);
-    EXPECT_TRUE(lock.owns_lock());
-  }
-}
-
-TEST(EpochCoordinatorTest, ReadPinBlocksConcurrentAdvance) {
-  EpochCoordinator epochs(2);
-  std::atomic<bool> advanced{false};
-  std::thread writer;
-  {
-    EpochCoordinator::ReadPin pin(epochs);
-    writer = std::thread([&] {
-      // The write half of the protocol: exclusive global lock, advance.
-      std::unique_lock<EpochLock> lock(epochs.global_lock());
-      uint64_t next = epochs.BeginAdvance();
-      for (size_t shard = 0; shard < 2; ++shard) {
-        std::unique_lock<EpochLock> shard_lock(epochs.shard_lock(shard));
-        epochs.PublishShard(shard, next);
-      }
-      epochs.Commit(next);
-      advanced.store(true, std::memory_order_release);
-    });
-    // The writer must wait for the pin: the pinned epoch stays committed
-    // and consistent the whole time the pin is held.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(advanced.load(std::memory_order_acquire));
-    EXPECT_EQ(pin.epoch(), 0u);
-    EXPECT_TRUE(epochs.Consistent());
-  }
-  writer.join();
-  EXPECT_TRUE(advanced.load());
-  EXPECT_EQ(epochs.global(), 1u);
-  EXPECT_TRUE(epochs.Consistent());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 // Unit + property tests for the BFS partitioner (§3.3): coverage of vertices
-// and edges, the z cap, edge-disjointness, boundary detection.
+// and edges, the z cap, edge-disjointness, boundary detection; and for the
+// DTLP built over it: Algorithm 2 (incremental maintenance) must agree with
+// Algorithm 1 (a fresh build) at the same weights.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "dtlp/dtlp.h"
+#include "dtlp_check.h"
 #include "graph/generators.h"
+#include "graph/traffic_model.h"
 #include "partition/partitioner.h"
 
 namespace kspdg {
@@ -189,6 +197,65 @@ TEST(PartitionerTest, BoundaryCountStatistic) {
   size_t above5 = part.CountSubgraphsWithBoundaryAbove(5);
   EXPECT_GE(above0, above5);
   EXPECT_GT(above0, 0u);
+}
+
+/// Three traffic batches through Dtlp::ApplyUpdates, each followed by a
+/// comparison with a fresh build at the batch's weights. Every batch also
+/// repeats its first edge with a different weight, so batch order within a
+/// subgraph decides the result.
+void CheckIncrementalMatchesFreshBuild(bool directed, unsigned threads) {
+  RoadNetworkOptions road;
+  road.rows = 16;
+  road.cols = 16;
+  road.directed = directed;
+  road.asymmetric_prob = directed ? 0.5 : 0.0;
+  road.seed = 21;
+  const Graph base = MakeRoadNetwork(road);
+  DtlpOptions options;
+  options.partition.max_vertices = 20;
+  options.build_threads = threads;
+  Result<std::unique_ptr<Dtlp>> built = Dtlp::Build(base, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Dtlp& dtlp = *built.value();
+
+  Graph current = base;
+  TrafficModelOptions traffic_options;
+  traffic_options.independent_directions = directed;
+  traffic_options.seed = 3;
+  TrafficModel traffic(base, traffic_options);
+  for (int step = 0; step < 3; ++step) {
+    std::vector<WeightUpdate> batch = traffic.NextBatch();
+    ASSERT_FALSE(batch.empty());
+    WeightUpdate again = batch.front();
+    again.new_forward *= 1.5;
+    again.new_backward *= 1.5;
+    batch.push_back(again);
+    for (const WeightUpdate& update : batch) current.SetWeight(update);
+
+    const DtlpUpdateStats stats = dtlp.ApplyUpdates(batch);
+    EXPECT_EQ(stats.updates_applied, batch.size());
+    EXPECT_GT(stats.subgraphs_touched, 0u);
+    EXPECT_LE(stats.subgraphs_touched, dtlp.NumSubgraphs());
+    ExpectMatchesFreshBuild(dtlp, current,
+                            "threads " + std::to_string(threads) + " step " +
+                                std::to_string(step));
+  }
+}
+
+TEST(DtlpTest, IncrementalUpdatesMatchFreshBuildUndirected) {
+  CheckIncrementalMatchesFreshBuild(/*directed=*/false, /*threads=*/1);
+}
+
+TEST(DtlpTest, IncrementalUpdatesMatchFreshBuildDirected) {
+  CheckIncrementalMatchesFreshBuild(/*directed=*/true, /*threads=*/1);
+}
+
+TEST(DtlpTest, ConcurrentIncrementalUpdatesMatchFreshBuildUndirected) {
+  CheckIncrementalMatchesFreshBuild(/*directed=*/false, /*threads=*/4);
+}
+
+TEST(DtlpTest, ConcurrentIncrementalUpdatesMatchFreshBuildDirected) {
+  CheckIncrementalMatchesFreshBuild(/*directed=*/true, /*threads=*/4);
 }
 
 }  // namespace

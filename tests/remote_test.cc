@@ -69,7 +69,7 @@ TEST(RemoteShardedRoutingServiceTest,
         ASSERT_TRUE(got_applied.ok()) << got_applied.status().ToString();
         EXPECT_EQ(got_applied.value().epoch, want_applied.value().epoch);
         // Identical Algorithm 2 maintenance on the coordinator's master
-        // copy: the remote fan-out composes the same primitives.
+        // copy: both run the same Dtlp::ApplyUpdates.
         EXPECT_EQ(got_applied.value().dtlp.updates_applied,
                   want_applied.value().dtlp.updates_applied);
         EXPECT_EQ(got_applied.value().dtlp.subgraphs_touched,

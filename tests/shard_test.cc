@@ -1,8 +1,8 @@
 // Tests for the sharded serving layer (src/shard + partition shard
 // assignment): shard-vs-unsharded parity on every backend (sharding may
 // move work, never change answers), cross-shard correctness after traffic
-// batches, the global-epoch protocol, and a threaded scatter/gather +
-// update interleave (the tsan job watches the per-shard lock discipline).
+// batches, the epoch protocol, and a threaded scatter/gather + update
+// interleave (the tsan job watches the snapshot-lock discipline).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,7 +163,7 @@ TEST(ShardedRoutingServiceTest, CrossShardParityAfterTrafficBatches) {
       ASSERT_TRUE(plain_applied.ok()) << plain_applied.status().ToString();
       ASSERT_TRUE(sharded_applied.ok()) << sharded_applied.status().ToString();
       // Identical epochs and identical Algorithm 2 maintenance statistics:
-      // the sharded fan-out composes the same per-subgraph primitives.
+      // every shard count runs the same Dtlp::ApplyUpdates.
       EXPECT_EQ(sharded_applied.value().epoch, plain_applied.value().epoch);
       EXPECT_EQ(sharded_applied.value().dtlp.updates_applied,
                 plain_applied.value().dtlp.updates_applied);
@@ -259,7 +259,6 @@ TEST(ShardedRoutingServiceTest, ShardInfosAndRoutingCountersAreCoherent) {
 
   const MetricsSnapshot metrics = service->Metrics();
   ASSERT_EQ(service->num_shards(), 3u);
-  ASSERT_EQ(metrics.GaugeSampleCount("shard_epoch"), 3u);
   uint64_t shard_partials = 0;
   for (ShardId shard = 0; shard < service->num_shards(); ++shard) {
     const uint64_t requests =

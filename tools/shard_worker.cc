@@ -18,17 +18,17 @@
 //                  owned subgraphs (the per-query Yen work, moved off the
 //                  coordinator process);
 //   EpochPrepare   its slice of Algorithm 2 for one traffic batch — the
-//                  worker filters the full batch to its owned subgraphs
-//                  with the same grouping the in-process shard fan-out
-//                  uses, applies, and replies. Prepares are idempotent:
-//                  re-sending the prepared epoch replays the stored reply,
-//                  so coordinator retries after a lost reply are safe.
+//                  worker filters the full batch to its owned subgraphs,
+//                  applies them through Dtlp::ApplyUpdates (the code the
+//                  coordinator runs on its master), and replies. Prepares
+//                  are idempotent: re-sending the prepared epoch replays
+//                  the stored reply, so coordinator retries after a lost
+//                  reply are safe.
 //
 // The single-threaded loop (src/rpc/server.h) means requests cannot
 // interleave worker-side; cross-process ordering is the coordinator's
 // locking protocol. A worker whose coordinator disappears exits on the
 // accept idle timeout instead of lingering as an orphan.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -159,38 +159,24 @@ class WorkerState {
           " but the prepare names epoch " + std::to_string(request.epoch) +
           " (worker needs a reload + replay)");
     }
-    for (const WeightUpdate& update : request.updates) {
-      if (update.edge >= graph_->NumEdges()) {
-        return Status::InvalidArgument("prepare update edge out of range");
-      }
-      if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-        return Status::InvalidArgument("prepare weights must be positive");
-      }
-    }
+    KSPDG_RETURN_NOT_OK(ValidateWeightUpdates(*graph_, request.updates));
 
-    // Identical application order to the in-process shard fan-out: group
-    // the batch per owned subgraph preserving batch order, then apply the
-    // touched subgraphs ascending.
+    // Algorithm 2 on the owned slice: the same Dtlp::ApplyUpdates the
+    // coordinator runs on its master, fed the updates this shard owns.
     const Partition& partition = dtlp_->partition();
-    std::vector<std::vector<WeightUpdate>> per_subgraph(
-        dtlp_->NumSubgraphs());
-    std::vector<SubgraphId> touched;
+    std::vector<WeightUpdate> owned_updates;
     for (const WeightUpdate& update : request.updates) {
       graph_->SetWeight(update);  // keep the flat copy coherent
       SubgraphId sgid = partition.subgraph_of_edge[update.edge];
-      if (sgid == kInvalidSubgraph || owned_[sgid] == 0) continue;
-      if (per_subgraph[sgid].empty()) touched.push_back(sgid);
-      per_subgraph[sgid].push_back(update);
+      if (sgid != kInvalidSubgraph && owned_[sgid] != 0) {
+        owned_updates.push_back(update);
+      }
     }
-    std::sort(touched.begin(), touched.end());
+    const DtlpUpdateStats stats = dtlp_->ApplyUpdates(owned_updates);
     EpochPrepareReply applied;
     applied.epoch = request.epoch;
-    for (SubgraphId sgid : touched) {
-      dtlp_->ApplyUpdatesToSubgraph(sgid, per_subgraph[sgid]);
-      dtlp_->RefreshSubgraph(sgid);
-      applied.updates_applied += per_subgraph[sgid].size();
-    }
-    applied.subgraphs_touched = touched.size();
+    applied.updates_applied = stats.updates_applied;
+    applied.subgraphs_touched = stats.subgraphs_touched;
     epoch_ = request.epoch;
     epoch_prepares_.Increment();
     updates_applied_.Increment(applied.updates_applied);

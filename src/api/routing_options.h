@@ -74,12 +74,6 @@ struct RoutingOptions {
   /// kDiverseKsp knobs: θ, the over-fetch factor, and the MinHash/LSH
   /// parameters of the per-query §4 pipeline. Ignored by the other kinds.
   DiversityOptions diversity;
-  /// Distinct boundary pairs each per-(shard, worker) partial cache may
-  /// memoise between flushes (QueryBatch path only; 0 disables the caches
-  /// entirely). Past the cap, requests still compute but stop
-  /// caching — correctness never depends on a hit. A service-level sizing
-  /// knob: read from the service defaults, not overridable per request.
-  size_t partial_cache_pairs = 4096;
 
   /// Checks the invariants every solver relies on.
   Status Validate() const;

@@ -42,6 +42,11 @@ class InProcessShardBackend final : public ShardBackend {
   const Dtlp& dtlp_;
 };
 
+/// Distinct boundary pairs each per-(shard, worker) partial cache may
+/// memoise between flushes. Past the cap, requests still compute but stop
+/// caching — correctness never depends on a hit.
+constexpr size_t kPartialCachePairs = 4096;
+
 }  // namespace
 
 // The one PartialProvider of the serving core. Routes each boundary-pair
@@ -72,8 +77,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
  public:
   ShardPartialProvider(const RoutingService& service, bool cache)
       : service_(service),
-        max_cached_pairs_(cache ? service.options_.defaults.partial_cache_pairs
-                                : 0),
+        max_cached_pairs_(cache ? kPartialCachePairs : 0),
         caches_(max_cached_pairs_ != 0 ? service.shards_.size() : 0),
         shard_touched_(service.shards_.size(), 0) {}
 
@@ -229,7 +233,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
   }
 
   const RoutingService& service_;
-  /// RoutingOptions::partial_cache_pairs, or 0 for a non-caching provider.
+  /// kPartialCachePairs, or 0 for a non-caching provider.
   const size_t max_cached_pairs_;
   uint64_t epoch_ = 0;
   std::vector<ShardCache> caches_;
@@ -554,7 +558,7 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
       shards_[si]->weights_epoch.store(epoch, std::memory_order_release);
     }
   }
-  backend_->Prepare(epoch, updates, updates_of_shard);
+  backend_->Apply(epoch, updates, updates_of_shard);
   if (cands_ != nullptr) {
     // CANDS maintenance: every touched subgraph's exact boundary-pair
     // shortest paths are recomputed — deliberately inside the exclusive
@@ -565,7 +569,6 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     result.cands_micros = cands_timer.ElapsedMicros();
   }
   epoch_.store(epoch, std::memory_order_release);
-  backend_->Commit(epoch, updates);
 
   result.epoch = epoch;
   svc_metrics_.RecordTrafficBatch(updates.size());

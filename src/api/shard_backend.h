@@ -14,9 +14,9 @@
 //   RPC replica set           each shard is a set of shard_worker processes
 //                             (src/remote); a fetch is a PartialsRequest to
 //                             one replica with failover, and a traffic batch
-//                             is replicated by a two-phase prepare/commit in
-//                             which each worker runs Dtlp::ApplyUpdates on
-//                             its owned updates.
+//                             is one apply RPC per live replica, in which
+//                             each worker runs Dtlp::ApplyUpdates on its
+//                             owned updates.
 //
 // Everything else — grouping a boundary pair's subgraphs by shard, the
 // per-(shard, worker) partial caches, the MergeSubgraphPartials gather, the
@@ -53,17 +53,12 @@ class ShardBackend {
   /// Moves the shard owners to `epoch` with `updates`, of which
   /// `updates_of_shard[s]` fall in shard s's subgraphs. Runs under the
   /// coordinator's exclusive snapshot lock, after its own master apply. The
-  /// coordinator commits `epoch` afterwards: its master copy is the source
+  /// coordinator publishes `epoch` afterwards: its master copy is the source
   /// of truth, so an owner that fails here must take itself out of the read
   /// path rather than fail the batch.
-  virtual void Prepare(uint64_t /*epoch*/,
-                       std::span<const WeightUpdate> /*updates*/,
-                       std::span<const uint64_t> /*updates_of_shard*/) {}
-
-  /// After the coordinator committed `epoch` (the batch is now history),
-  /// still under the exclusive lock.
-  virtual void Commit(uint64_t /*epoch*/,
-                      std::span<const WeightUpdate> /*updates*/) {}
+  virtual void Apply(uint64_t /*epoch*/,
+                     std::span<const WeightUpdate> /*updates*/,
+                     std::span<const uint64_t> /*updates_of_shard*/) {}
 };
 
 }  // namespace kspdg

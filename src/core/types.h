@@ -17,9 +17,6 @@ using EdgeId = uint32_t;
 /// Identifier of a subgraph produced by the partitioner.
 using SubgraphId = uint32_t;
 
-/// Identifier of a worker ("server") in the simulated cluster.
-using WorkerId = uint32_t;
-
 /// Current (dynamic) weight of an edge. Weights evolve with traffic but are
 /// always strictly positive.
 using Weight = double;

@@ -2,10 +2,11 @@
 //
 // The refine step of KSP-DG (Algorithm 4) asks, for an adjacent boundary
 // pair (x, y) of the reference path, for the k shortest paths between x and
-// y inside every subgraph containing both. In the single-node engine this
-// runs inline; in the simulated cluster it is shipped to the workers owning
-// those subgraphs (SubgraphBolts). QueryContext is written against this
-// interface so both deployments share the exact same algorithm.
+// y inside every subgraph containing both. LocalPartialProvider runs it
+// inline; the serving core's provider hands it to the shard owning each
+// subgraph, in process or over RPC to a shard_worker. QueryContext is
+// written against this interface so every deployment shares the exact same
+// algorithm.
 #ifndef KSPDG_KSPDG_PARTIAL_PROVIDER_H_
 #define KSPDG_KSPDG_PARTIAL_PROVIDER_H_
 
@@ -62,8 +63,9 @@ class LocalPartialProvider : public PartialProvider {
   PartialResult ComputePartials(VertexId x, VertexId y,
                                 size_t depth) override;
 
-  /// Shared by the distributed SubgraphBolt: k-best paths between two global
-  /// vertices within one specific subgraph, translated to global ids.
+  /// Shared by every shard owner (in process and shard_worker): k-best paths
+  /// between two global vertices within one specific subgraph, translated
+  /// to global ids.
   static std::vector<Path> PartialsInSubgraph(const Subgraph& sg, VertexId x,
                                               VertexId y, size_t depth);
 

@@ -1,6 +1,6 @@
 // Per-query working state of KSP-DG: the skeleton overlay for the endpoints
 // (§5.3), the partial-KSP cache (§5.2 optimisation), and Algorithm 4.
-// Shared by the single-node engine and the distributed QueryBolt.
+// Shared by every deployment of the serving core.
 #ifndef KSPDG_KSPDG_QUERY_CONTEXT_H_
 #define KSPDG_KSPDG_QUERY_CONTEXT_H_
 

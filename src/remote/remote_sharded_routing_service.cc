@@ -64,7 +64,7 @@ std::atomic<uint64_t> g_instance_counter{0};
 // The RPC replica-set shard backend: num_replicas shard_worker processes
 // per shard, plus the replication log (checkpoint + retained history) that
 // revives them. Every method that touches the fleet's membership or log
-// (Prepare, Commit, RestartDeadWorkers, the checkpoint accessors) runs
+// (Apply, RestartDeadWorkers, the checkpoint accessors) runs
 // under the coordinator's snapshot lock — exclusive for writers, shared
 // for readers — which is the log's only guard.
 class ReplicaFleet final : public ShardBackend {
@@ -144,7 +144,7 @@ class ReplicaFleet final : public ShardBackend {
       return restarts;
     });
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    prepare_pool_ = std::make_unique<ThreadPool>(
+    apply_pool_ = std::make_unique<ThreadPool>(
         static_cast<unsigned>(std::min<size_t>(workers_.size(), hw)));
   }
 
@@ -211,15 +211,16 @@ class ReplicaFleet final : public ShardBackend {
     return last_error;
   }
 
-  // Phase one: fan the FULL batch out to every replica that is alive at the
-  // preceding epoch (each applies the updates its subgraphs own through
-  // Dtlp::ApplyUpdates). A failed prepare marks the replica dead (its
+  // The whole replication of one traffic batch, in one round: fan the FULL
+  // batch out to every replica that is alive at the preceding epoch (each
+  // applies the updates its subgraphs own through Dtlp::ApplyUpdates), then
+  // log the batch for replay. A failed apply marks the replica dead (its
   // reads fail over to siblings until restart) instead of failing or
-  // stalling the batch. A replica already lagging is skipped — prepares
-  // apply strictly in epoch order — and stays out of the read rotation
-  // until the next catch-up.
-  void Prepare(uint64_t epoch, std::span<const WeightUpdate> updates,
-               std::span<const uint64_t> updates_of_shard) override {
+  // stalling the batch. A replica already lagging is skipped — applies run
+  // strictly in epoch order — and stays out of the read rotation until the
+  // next catch-up.
+  void Apply(uint64_t epoch, std::span<const WeightUpdate> updates,
+             std::span<const uint64_t> updates_of_shard) override {
     if (options_.remote.auto_restart) {
       // Revive dead replicas and catch up lagging ones to the preceding
       // epoch first, so they take part in this one instead of falling
@@ -228,12 +229,10 @@ class ReplicaFleet final : public ShardBackend {
       // shard is dead), not this batch.
       (void)RestartDeadWorkers();
     }
-    EpochPrepareRequest prepare;
-    prepare.epoch = epoch;
-    prepare.updates.assign(updates.begin(), updates.end());
-    const std::string payload = prepare.Encode();
+    LoggedBatch batch{{updates.begin(), updates.end()},
+                      {updates_of_shard.begin(), updates_of_shard.end()}};
     const auto& hook = options_.remote.before_prepare_hook;
-    prepare_pool_->ParallelFor(
+    apply_pool_->ParallelFor(
         workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
           Worker& worker = *workers_[wi];
           if (!worker.alive.load(std::memory_order_acquire)) return;
@@ -244,77 +243,22 @@ class ReplicaFleet final : public ShardBackend {
           // but silently misses this epoch (and leaves the read rotation
           // via the epoch check until caught up).
           if (hook && !hook(FaultPoint(worker, epoch))) return;
-          std::string reply_payload;
-          Status called;
-          {
-            MutexLock worker_lock(worker.mu);
-            called = worker.client->Call(
-                MessageType::kEpochPrepareRequest, payload,
-                MessageType::kEpochPrepareReply, &reply_payload,
-                options_.remote.apply_deadline_ms);
-          }
-          EpochPrepareReply reply;
-          if (called.ok()) {
-            called = EpochPrepareReply::Decode(reply_payload, &reply);
-          }
-          if (called.ok() && reply.epoch != epoch) {
-            called = Status::Internal("worker acknowledged the wrong epoch");
-          }
-          // The cross-check that catches a worker whose deterministic
-          // rebuild diverged from the coordinator's.
-          if (called.ok() &&
-              reply.updates_applied != updates_of_shard[worker.shard]) {
-            called = Status::Internal(
-                "worker " + std::to_string(worker.shard) + " replica " +
-                std::to_string(worker.replica) + " applied " +
-                std::to_string(reply.updates_applied) + " updates where the " +
-                "coordinator expected " +
-                std::to_string(updates_of_shard[worker.shard]) +
-                " (divergent shard state)");
-          }
-          if (called.ok()) {
+          if (ApplyOnWorker(worker, epoch, batch).ok()) {
             worker.epoch.store(epoch, std::memory_order_release);
           } else {
             MarkDead(worker);
           }
         });
-  }
-
-  // The committed batch enters the replay log, then phase two sends
-  // best-effort commit acknowledgements (pure bookkeeping — a worker that
-  // misses one learns the epoch from its next prepare; a replica that
-  // skipped the prepare is skipped here too).
-  void Commit(uint64_t epoch, std::span<const WeightUpdate> updates) override {
-    history_.emplace_back(updates.begin(), updates.end());
+    history_.push_back(std::move(batch));
     if (history_.size() >= std::max<size_t>(1, options_.max_history_batches)) {
-      // Bound the retained history with a checkpoint: snapshot the
-      // committed master weights and truncate the log. A replica restarting
-      // later loads this snapshot and replays only the batches committed
-      // after it.
+      // Bound the retained history with a checkpoint: snapshot the master
+      // weights (the coordinator applied this batch to them already) and
+      // truncate the log. A replica restarting later loads this snapshot
+      // and replays only the batches logged after it.
       checkpoint_graph_ = graph_;
       checkpoint_epoch_ = epoch;
       history_.clear();
     }
-    EpochCommitRequest commit;
-    commit.epoch = epoch;
-    const std::string payload = commit.Encode();
-    const auto& hook = options_.remote.before_commit_hook;
-    prepare_pool_->ParallelFor(
-        workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
-          Worker& worker = *workers_[wi];
-          if (!worker.alive.load(std::memory_order_acquire)) return;
-          if (worker.epoch.load(std::memory_order_acquire) != epoch) return;
-          if (hook && !hook(FaultPoint(worker, epoch))) return;
-          std::string reply_payload;
-          Status called;
-          {
-            MutexLock worker_lock(worker.mu);
-            called = worker.client->Call(
-                MessageType::kEpochCommitRequest, payload,
-                MessageType::kEpochCommitReply, &reply_payload);
-          }
-          if (!called.ok()) MarkDead(worker);
-        });
   }
 
   /// See RemoteShardedRoutingService::RestartDeadWorkers; the caller holds
@@ -447,6 +391,14 @@ class ReplicaFleet final : public ShardBackend {
     mutable bool has_metrics GUARDED_BY(metrics_mu) = false;
   };
 
+  /// One traffic batch as the replicas apply it: the updates, and how many
+  /// of them fall in each shard's subgraphs (what every replica of that
+  /// shard must report having applied, live or in a replay).
+  struct LoggedBatch {
+    std::vector<WeightUpdate> updates;
+    std::vector<uint64_t> updates_of_shard;
+  };
+
   Worker& WorkerAt(ShardId shard, uint32_t replica) const {
     return *workers_[static_cast<size_t>(shard) * options_.num_replicas +
                      replica];
@@ -538,28 +490,52 @@ class ReplicaFleet final : public ShardBackend {
     return called;
   }
 
-  // Replays every retained batch with epoch > from_epoch in commit order;
+  /// The one checked apply of `epoch` on `worker`, shared by the live
+  /// fan-out and every replay: sends `batch` as an EpochPrepareRequest and
+  /// checks that the worker acknowledged `epoch` and applied exactly the
+  /// updates its shard owns — the cross-check that catches a worker whose
+  /// deterministic rebuild diverged from the coordinator's. The caller marks
+  /// the worker dead on failure.
+  Status ApplyOnWorker(const Worker& worker, uint64_t epoch,
+                       const LoggedBatch& batch) const {
+    EpochPrepareRequest prepare;
+    prepare.epoch = epoch;
+    prepare.updates = batch.updates;
+    std::string reply_payload;
+    Status called;
+    {
+      MutexLock lock(worker.mu);
+      called = worker.client->Call(
+          MessageType::kEpochPrepareRequest, prepare.Encode(),
+          MessageType::kEpochPrepareReply, &reply_payload,
+          options_.remote.apply_deadline_ms);
+    }
+    EpochPrepareReply reply;
+    if (called.ok()) called = EpochPrepareReply::Decode(reply_payload, &reply);
+    if (called.ok() && reply.epoch != epoch) {
+      called = Status::Internal("worker acknowledged the wrong epoch");
+    }
+    const uint64_t expected = batch.updates_of_shard[worker.shard];
+    if (called.ok() && reply.updates_applied != expected) {
+      called = Status::Internal(
+          "worker " + std::to_string(worker.shard) + " replica " +
+          std::to_string(worker.replica) + " applied " +
+          std::to_string(reply.updates_applied) + " updates where the " +
+          "coordinator expected " + std::to_string(expected) +
+          " (divergent shard state)");
+    }
+    return called;
+  }
+
+  // Replays every retained batch with epoch > from_epoch in log order;
   // prepares are idempotent, so a retry after a lost reply is safe.
-  Status ReplayRetainedHistory(Worker& worker, uint64_t from_epoch) const {
+  Status ReplayRetainedHistory(const Worker& worker,
+                               uint64_t from_epoch) const {
     Status called;
     for (size_t b = 0; called.ok() && b < history_.size(); ++b) {
       const uint64_t epoch = checkpoint_epoch_ + b + 1;
       if (epoch <= from_epoch) continue;
-      EpochPrepareRequest prepare;
-      prepare.epoch = epoch;
-      prepare.updates = history_[b];
-      std::string prepare_reply;
-      {
-        MutexLock lock(worker.mu);
-        called = worker.client->Call(
-            MessageType::kEpochPrepareRequest, prepare.Encode(),
-            MessageType::kEpochPrepareReply, &prepare_reply,
-            options_.remote.apply_deadline_ms);
-      }
-      EpochPrepareReply reply;
-      if (called.ok()) {
-        called = EpochPrepareReply::Decode(prepare_reply, &reply);
-      }
+      called = ApplyOnWorker(worker, epoch, history_[b]);
     }
     return called;
   }
@@ -712,17 +688,17 @@ class ReplicaFleet final : public ShardBackend {
   /// snapshot lock, like everything below.
   Graph checkpoint_graph_;
   uint64_t checkpoint_epoch_ = 0;
-  /// Traffic batches committed after checkpoint_epoch_, in commit order —
+  /// Traffic batches applied after checkpoint_epoch_, in epoch order —
   /// history_[b] is the batch of epoch checkpoint_epoch_ + b + 1. Bounded
   /// by max_history_batches (a new checkpoint truncates it).
-  std::vector<std::vector<WeightUpdate>> history_;
+  std::vector<LoggedBatch> history_;
   /// The fleet, shard-major: workers_[shard * num_replicas + replica].
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Per-shard round-robin start offset for the next partial fetch.
   mutable std::vector<std::atomic<uint64_t>> next_replica_;
-  /// Executes the prepare/commit fan-out (one thread per worker, capped at
-  /// the hardware thread count).
-  std::unique_ptr<ThreadPool> prepare_pool_;
+  /// Executes the apply fan-out (one thread per worker, capped at the
+  /// hardware thread count).
+  std::unique_ptr<ThreadPool> apply_pool_;
 };
 
 Result<std::unique_ptr<RemoteShardedRoutingService>>

@@ -24,21 +24,23 @@
 //             one answers, the bytes are identical. Only an all-replicas-
 //             dead shard fails a query (kUnavailable), through the core's
 //             query-poisoning path — never a hang, never a wrong answer.
-//   writes    two-phase cross-process epoch commit under the core's
-//             exclusive snapshot lock: EpochPrepare RPCs fan the full
-//             batch out to every replica alive at the preceding epoch (each
-//             filters to its owned subgraphs and runs Dtlp::ApplyUpdates
-//             on them), the core commits, then best-effort EpochCommit
-//             acknowledgements.
-//             A replica that fails its prepare is marked dead rather than
-//             failing the batch. The epoch sequence IS the replication log
-//             (single writer, so no consensus round is needed).
-//   recovery  the committed batch history back to the latest checkpoint (a
-//             full weight snapshot every max_history_batches commits);
+//   writes    one apply RPC per live replica per traffic batch, under
+//             the core's exclusive snapshot lock: an EpochPrepare RPC fans
+//             the full batch out to every replica alive at the preceding
+//             epoch (each filters to its owned subgraphs, runs
+//             Dtlp::ApplyUpdates on them and reports how many it applied),
+//             then the core publishes the epoch. There is no commit round.
+//             A replica whose apply fails, or whose reply names the wrong
+//             epoch or update count, is marked dead rather than failing the
+//             batch. The epoch sequence IS the replication log (single
+//             writer, so no consensus round is needed).
+//   recovery  the batch history back to the latest checkpoint (a full
+//             weight snapshot every max_history_batches batches);
 //             RestartDeadWorkers (also run by ApplyTrafficBatch when
 //             auto_restart is set) health-checks every replica, respawns the
 //             dead ones from the checkpoint plus the retained history, and
-//             replays an alive-but-lagging one in place.
+//             replays an alive-but-lagging one in place. A replay sends each
+//             batch through the same checked apply as the live fan-out.
 //   metrics   Metrics() merges every worker's registry (shipped back in ping
 //             replies) into the core's scrape.
 //
@@ -65,8 +67,8 @@
 
 namespace kspdg {
 
-/// Identity of one replica at a two-phase-commit fault point, handed to the
-/// fault-injection hooks below so a test harness can target a named replica
+/// Identity of one replica at an apply fault point, handed to the
+/// fault-injection hook below so a test harness can target a named replica
 /// deterministically (kill its pid, stop it, or drop the RPC).
 struct ReplicaFaultPoint {
   ShardId shard = kInvalidShard;
@@ -100,23 +102,22 @@ struct RemoteWorkerOptions {
   /// (RestartDeadWorkers can always be called explicitly).
   bool auto_restart = true;
   /// Test-only fault injection: called immediately before the prepare RPC
-  /// (resp. the commit RPC) of each replica participating in an epoch
-  /// advance. Returning false drops the RPC — the replica silently misses
+  /// of each replica taking part in a live epoch advance (not before
+  /// replays). Returning false drops the RPC — the replica silently misses
   /// the epoch, exactly as a lost message would — and the hook may also
-  /// kill or stop the named pid to script a mid-two-phase-commit crash.
+  /// kill or stop the named pid to script a crash mid-batch.
   /// Never set in production.
   std::function<bool(const ReplicaFaultPoint&)> before_prepare_hook;
-  std::function<bool(const ReplicaFaultPoint&)> before_commit_hook;
 };
 
-/// The core's options plus the fleet's. The prepare fan-out runs one
+/// The core's options plus the fleet's. The apply fan-out runs one
 /// thread per worker, capped at the hardware thread count.
 struct RemoteShardedRoutingServiceOptions : RoutingServiceOptions {
   /// Replica workers per shard (>= 1). The fleet runs
   /// num_shards * num_replicas worker processes; reads load-balance across
   /// a shard's replicas, writes go to all of them in epoch order.
   uint32_t num_replicas = 1;
-  /// Commits retained in the replay history before the coordinator takes a
+  /// Batches retained in the replay history before the coordinator takes a
   /// checkpoint (full weight snapshot) and truncates the log. Bounds the
   /// catch-up cost of a replica restart; 0 is treated as 1.
   size_t max_history_batches = 32;
@@ -179,7 +180,7 @@ class RemoteShardedRoutingService : public RoutingService {
   uint32_t num_replicas() const;
 
   /// Checkpoint bookkeeping (monitoring + tests): the epoch of the latest
-  /// full weight snapshot and the commits retained after it. The replay
+  /// full weight snapshot and the batches retained after it. The replay
   /// cost of a replica restart is bounded by history_size().
   uint64_t checkpoint_epoch() const;
   size_t history_size() const;

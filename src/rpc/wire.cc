@@ -285,32 +285,6 @@ Status EpochPrepareReply::Decode(std::string_view payload,
   return r.ExpectEnd();
 }
 
-std::string EpochCommitRequest::Encode() const {
-  WireWriter w;
-  w.U64(epoch);
-  return w.Take();
-}
-
-Status EpochCommitRequest::Decode(std::string_view payload,
-                                  EpochCommitRequest* out) {
-  WireReader r(payload);
-  KSPDG_RETURN_NOT_OK(r.U64(&out->epoch));
-  return r.ExpectEnd();
-}
-
-std::string EpochCommitReply::Encode() const {
-  WireWriter w;
-  w.U64(epoch);
-  return w.Take();
-}
-
-Status EpochCommitReply::Decode(std::string_view payload,
-                                EpochCommitReply* out) {
-  WireReader r(payload);
-  KSPDG_RETURN_NOT_OK(r.U64(&out->epoch));
-  return r.ExpectEnd();
-}
-
 // --- Ping / error ----------------------------------------------------------
 
 std::string PingRequest::Encode() const {

@@ -7,9 +7,9 @@
 //
 // The protocol is deliberately small: load-graph (worker bootstrap +
 // restart), partial-list request/reply (the KSP-DG refine step), epoch
-// prepare/commit (the cross-process half of the two-phase traffic apply),
-// health ping, and shutdown. An ErrorReply carries a Status back for any
-// request the worker rejects.
+// prepare (a replica's whole share of one traffic batch: there is no
+// second round), health ping, and shutdown. An ErrorReply carries a Status
+// back for any request the worker rejects.
 #ifndef KSPDG_RPC_WIRE_H_
 #define KSPDG_RPC_WIRE_H_
 
@@ -37,8 +37,7 @@ enum class MessageType : uint8_t {
   kPartialsReply = 4,
   kEpochPrepareRequest = 5,
   kEpochPrepareReply = 6,
-  kEpochCommitRequest = 7,
-  kEpochCommitReply = 8,
+  // 7 and 8 are retired; never reuse them for a new message.
   kPingRequest = 9,
   kPingReply = 10,
   kShutdownRequest = 11,
@@ -116,7 +115,7 @@ struct PartialsReply {
   static Status Decode(std::string_view payload, PartialsReply* out);
 };
 
-/// Phase one of the cross-process traffic apply: the full update batch for
+/// The cross-process traffic apply, one round: the full update batch for
 /// `epoch` (== worker's current epoch + 1). The worker keeps the updates
 /// its subgraphs own, runs Dtlp::ApplyUpdates on them (the coordinator's
 /// Algorithm 2), and replies. Re-sending the epoch the worker already
@@ -141,23 +140,6 @@ struct EpochPrepareReply {
 
   std::string Encode() const;
   static Status Decode(std::string_view payload, EpochPrepareReply* out);
-};
-
-/// Phase two: the coordinator committed `epoch`. Bookkeeping only — the
-/// worker's state already moved during prepare; a worker that misses the
-/// commit learns it implicitly from the next prepare or partials request.
-struct EpochCommitRequest {
-  uint64_t epoch = 0;
-
-  std::string Encode() const;
-  static Status Decode(std::string_view payload, EpochCommitRequest* out);
-};
-
-struct EpochCommitReply {
-  uint64_t epoch = 0;
-
-  std::string Encode() const;
-  static Status Decode(std::string_view payload, EpochCommitReply* out);
 };
 
 struct PingRequest {

@@ -225,7 +225,7 @@ TEST(ParallelForTest, ZeroItemsIsNoOp) {
   ParallelFor(0, 4, [](size_t) { FAIL(); });
 }
 
-TEST(ParallelForChunkedTest, CoversAllIndicesWithValidWorkerIds) {
+TEST(ParallelForChunkedTest, CoversAllIndicesWithValidWorkerIndices) {
   constexpr unsigned kThreads = 4;
   std::vector<std::atomic<int>> hits(1000);
   std::atomic<int> bad_worker{0};

@@ -5,14 +5,14 @@
 //       act on a NAMED (shard, replica) worker process by pid — SIGKILL
 //       for a crash, SIGSTOP/SIGCONT for a process whose socket stops
 //       answering (the deadline path, not the connection-reset path).
-//   FaultPlan + MakePrepareHook / MakeCommitHook
-//       script the coordinator's two-phase commit: drop the next N
-//       prepare (or commit) RPCs of the named replica — it silently
-//       misses those epochs exactly as a lost message would — or kill
-//       the replica at the instant its prepare would be sent, which is
-//       the deterministic "died mid-two-phase-commit" drill.
+//   FaultPlan + MakePrepareHook
+//       script the coordinator's apply fan-out: drop the next N prepare
+//       RPCs of the named replica — it silently misses those epochs
+//       exactly as a lost message would — or kill the replica at the
+//       instant its prepare would be sent, which is the deterministic
+//       "died mid-batch" drill.
 //
-// The plan lives behind a shared_ptr captured by the hooks, so a test
+// The plan lives behind a shared_ptr captured by the hook, so a test
 // arms and re-arms faults AFTER the service is built, and the hook state
 // (atomics) is safe to flip while an apply is in flight on the pool.
 #ifndef KSPDG_TESTS_FAULT_HARNESS_H_
@@ -89,10 +89,8 @@ struct FaultPlan {
   uint32_t replica = 0;
   /// Drop the next N prepare RPCs of the replica (it silently lags).
   std::atomic<int> drop_prepares{0};
-  /// Drop the next N commit RPCs (bookkeeping loss; state already moved).
-  std::atomic<int> drop_commits{0};
   /// SIGKILL the replica at its next prepare fault point — the
-  /// deterministic mid-two-phase-commit crash. One-shot.
+  /// deterministic mid-batch crash. One-shot.
   std::atomic<bool> kill_at_prepare{false};
   std::atomic<int> prepares_seen{0};
 };
@@ -105,9 +103,9 @@ inline std::function<bool(const ReplicaFaultPoint&)> MakePrepareHook(
     }
     plan->prepares_seen.fetch_add(1, std::memory_order_relaxed);
     if (plan->kill_at_prepare.exchange(false, std::memory_order_acq_rel)) {
-      // Crash exactly between BeginAdvance and this replica's prepare:
-      // the RPC then fails on the dead process and the coordinator marks
-      // the replica dead mid-batch, deterministically.
+      // Crash exactly between the coordinator's master apply and this
+      // replica's prepare: the RPC then fails on the dead process and the
+      // coordinator marks the replica dead mid-batch, deterministically.
       EXPECT_GT(point.pid, 0);
       EXPECT_EQ(kill(point.pid, SIGKILL), 0);
       return true;
@@ -123,25 +121,8 @@ inline std::function<bool(const ReplicaFaultPoint&)> MakePrepareHook(
   };
 }
 
-inline std::function<bool(const ReplicaFaultPoint&)> MakeCommitHook(
-    std::shared_ptr<FaultPlan> plan) {
-  return [plan](const ReplicaFaultPoint& point) {
-    if (point.shard != plan->shard || point.replica != plan->replica) {
-      return true;
-    }
-    int armed = plan->drop_commits.load(std::memory_order_relaxed);
-    while (armed > 0) {
-      if (plan->drop_commits.compare_exchange_weak(
-              armed, armed - 1, std::memory_order_acq_rel)) {
-        return false;
-      }
-    }
-    return true;
-  };
-}
-
 /// Replicated fleet with fault-suite deadlines (a dead worker is detected
-/// in well under a second) and the plan's hooks installed. `auto_restart`
+/// in well under a second) and the plan's hook installed. `auto_restart`
 /// off by default so tests control exactly when revival happens.
 inline std::unique_ptr<RemoteShardedRoutingService> MustCreateReplicated(
     Graph g, uint32_t z, uint32_t num_shards, uint32_t num_replicas,
@@ -158,7 +139,6 @@ inline std::unique_ptr<RemoteShardedRoutingService> MustCreateReplicated(
   options.remote.auto_restart = auto_restart;
   if (plan != nullptr) {
     options.remote.before_prepare_hook = MakePrepareHook(plan);
-    options.remote.before_commit_hook = MakeCommitHook(plan);
   }
   Result<std::unique_ptr<RemoteShardedRoutingService>> service =
       RemoteShardedRoutingService::Create(std::move(g), std::move(options));

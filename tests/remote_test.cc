@@ -1,10 +1,11 @@
 // Tests for the out-of-process serving layer (src/remote + the
 // shard_worker binary): byte-identical parity with the in-process
 // RoutingService at 1/2/4 shards for every QueryKind, single and
-// batched, before and after traffic; the cross-process two-phase epoch
-// commit; and the fault model — killed workers degrade to clean per-query
-// Status errors (never a hang, never a wrong answer) and come back via
-// restart + history replay with their exact incremental state.
+// batched, before and after traffic; the cross-process epoch advance (one
+// apply RPC per replica per batch); and the fault model — killed workers
+// degrade to clean per-query Status errors (never a hang, never a wrong
+// answer) and come back via restart + history replay with their exact
+// incremental state.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "api/routing_options.h"
+#include "fault_harness.h"
 #include "graph/generators.h"
 #include "graph/traffic_model.h"
 #include "ksp/path.h"
@@ -304,6 +306,36 @@ TEST(RemoteShardedRoutingServiceTest, PartialCachesServeDuplicateInBatch) {
                        batched.value().items[0].response.paths,
                        "duplicate query in one remote batch");
   EXPECT_GT(service->Metrics().CounterTotal("partial_cache_hits_total"), 0u);
+}
+
+// One traffic batch costs every live replica exactly one RPC: the apply
+// carries the whole batch and there is no second round. A Metrics() scrape
+// reads rpc_calls_total before it pings each replica, so the delta between
+// two scrapes also holds the first scrape's pings, one per replica.
+TEST(RemoteShardedRoutingServiceTest, TrafficBatchCostsOneRpcPerReplica) {
+  Graph g = MakeRandomConnected(30, 38, 1, 9, 433);
+  std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
+      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2);
+  ASSERT_TRUE(remote != nullptr);
+  const uint64_t replicas = remote->WorkerInfos().size();
+  ASSERT_EQ(replicas, 4u);
+  TrafficModelOptions traffic_options;
+  traffic_options.alpha = 0.5;
+  traffic_options.seed = 79;
+  TrafficModel traffic(remote->graph(), traffic_options);
+  std::vector<WeightUpdate> batch = traffic.NextBatch();
+  ASSERT_FALSE(batch.empty());
+
+  const uint64_t before = remote->Metrics().CounterTotal("rpc_calls_total");
+  Result<TrafficBatchResult> applied = remote->ApplyTrafficBatch(batch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  const uint64_t after = remote->Metrics().CounterTotal("rpc_calls_total");
+  const uint64_t scrape_pings = replicas;
+  EXPECT_EQ(after - before - scrape_pings, replicas);
+  for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
+    EXPECT_TRUE(info.alive) << info.shard << "/" << info.replica;
+    EXPECT_EQ(info.epoch, 1u) << info.shard << "/" << info.replica;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 // replication must be invisible in the answers — byte-identical to the
 // in-process RoutingService no matter which replica serves each
 // partial fetch, across replica/shard counts, traffic, and every fault the
-// harness can script (a replica killed mid-two-phase-commit, a replica
-// silently missing epochs, a whole shard dead). Catch-up — in-place replay
+// harness can script (a replica killed mid-batch, a replica silently
+// missing epochs, a whole shard dead). Catch-up — in-place replay
 // for a lagging replica, checkpoint + replay for a respawned one — must
 // converge every replica back to the committed epoch with bit-identical
 // state. Drills named *Replica*/*Concurrent* also run under the tsan
@@ -154,8 +154,8 @@ TEST(ReplicaTest, ReplicaReadsRotateRoundRobin) {
 // Replication invariants under faults.
 // ---------------------------------------------------------------------------
 
-// Kill one replica deterministically mid-two-phase-commit (at the instant
-// its prepare would go out): the batch still commits, the sibling serves
+// Kill one replica deterministically mid-batch (at the instant its
+// prepare would go out): the batch still commits, the sibling serves
 // every read, and answers stay byte-identical to the in-process service.
 TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 419);

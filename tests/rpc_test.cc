@@ -312,19 +312,6 @@ TEST(WireTest, EpochAndPingMessagesRoundTrip) {
   EXPECT_EQ(got_prepared.updates_applied, 13u);
   EXPECT_EQ(got_prepared.subgraphs_touched, 4u);
 
-  EpochCommitRequest commit;
-  commit.epoch = 9;
-  EpochCommitRequest got_commit;
-  ASSERT_TRUE(EpochCommitRequest::Decode(commit.Encode(), &got_commit).ok());
-  EXPECT_EQ(got_commit.epoch, 9u);
-
-  EpochCommitReply committed;
-  committed.epoch = 9;
-  EpochCommitReply got_committed;
-  ASSERT_TRUE(
-      EpochCommitReply::Decode(committed.Encode(), &got_committed).ok());
-  EXPECT_EQ(got_committed.epoch, 9u);
-
   PingRequest ping;
   ping.nonce = 77;
   PingRequest got_ping;

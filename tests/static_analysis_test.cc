@@ -107,53 +107,6 @@ TEST(MutexWrapperTest, CondVarSignalsUnderWrapperMutex) {
   EXPECT_TRUE(observed.load());
 }
 
-TEST(SharedMutexWrapperTest, AdmitsConcurrentReaders) {
-  SharedMutex mu("sa_test::shared");
-  std::atomic<int> inside{0};
-  std::atomic<bool> both_seen{false};
-  std::vector<std::thread> readers;
-  for (int i = 0; i < 2; ++i) {
-    readers.emplace_back([&] {
-      ReaderMutexLock guard(mu);
-      inside.fetch_add(1);
-      // Wait (bounded) for the other reader so the two shared holds
-      // overlap however slowly the threads start.
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (inside.load() < 2 && std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::yield();
-      }
-      if (inside.load() == 2) both_seen.store(true);
-      inside.fetch_sub(1);
-    });
-  }
-  for (std::thread& t : readers) t.join();
-  EXPECT_TRUE(both_seen.load()) << "two shared holds never overlapped";
-}
-
-TEST(SharedMutexWrapperTest, WriterExcludesReaders) {
-  SharedMutex mu("sa_test::shared_writer");
-  int value = 0;  // guarded by mu
-  std::atomic<bool> writer_done{false};
-  std::atomic<bool> reader_saw_done{false};
-  std::thread reader;
-  {
-    WriterMutexLock guard(mu);
-    reader = std::thread([&] {
-      // Blocks until the writer releases, so it must observe writer_done.
-      ReaderMutexLock inner(mu);
-      reader_saw_done.store(writer_done.load());
-    });
-    value = 42;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    writer_done.store(true);
-  }
-  reader.join();
-  EXPECT_TRUE(reader_saw_done.load());
-  ReaderMutexLock guard(mu);
-  EXPECT_EQ(value, 42);
-}
-
 TEST(EpochLockGuardTest, OwnsLockTracksEarlyUnlock) {
   EpochLock lock("sa_test::epoch");
   {

@@ -11,19 +11,20 @@
 // identical to the coordinator's by construction. The shipped weights may
 // be a mid-stream checkpoint: the worker then starts at base_epoch and the
 // coordinator replays the batches committed after it, which is how a
-// replica that died (or fell behind) catches back up. From then on it serves the two requests
-// that matter:
+// replica that died (or fell behind) catches back up. From then on it
+// serves the two requests that matter:
 //
 //   Partials       the KSP-DG refine step for boundary pairs inside its
 //                  owned subgraphs (the per-query Yen work, moved off the
 //                  coordinator process);
-//   EpochPrepare   its slice of Algorithm 2 for one traffic batch — the
-//                  worker filters the full batch to its owned subgraphs,
-//                  applies them through Dtlp::ApplyUpdates (the code the
-//                  coordinator runs on its master), and replies. Prepares
-//                  are idempotent: re-sending the prepared epoch replays
-//                  the stored reply, so coordinator retries after a lost
-//                  reply are safe.
+//   EpochPrepare   its slice of Algorithm 2 for one traffic batch, in one
+//                  round trip — the worker filters the full batch to its
+//                  owned subgraphs, applies them through Dtlp::ApplyUpdates
+//                  (the code the coordinator runs on its master), and
+//                  replies; there is no commit message. Prepares are
+//                  idempotent: re-sending the prepared epoch replays the
+//                  stored reply, so coordinator retries after a lost reply
+//                  are safe.
 //
 // The single-threaded loop (src/rpc/server.h) means requests cannot
 // interleave worker-side; cross-process ordering is the coordinator's
@@ -186,23 +187,6 @@ class WorkerState {
     return Status::OK();
   }
 
-  Status HandleCommit(const std::string& payload, std::string* reply) {
-    KSPDG_RETURN_NOT_OK(RequireLoaded());
-    EpochCommitRequest request;
-    KSPDG_RETURN_NOT_OK(EpochCommitRequest::Decode(payload, &request));
-    if (request.epoch != epoch_) {
-      return Status::FailedPrecondition(
-          "commit names epoch " + std::to_string(request.epoch) +
-          " but the worker prepared epoch " + std::to_string(epoch_));
-    }
-    // Bookkeeping only: the state moved during prepare. A missed commit is
-    // recovered implicitly by the next prepare/partials epoch check.
-    EpochCommitReply committed;
-    committed.epoch = epoch_;
-    *reply = committed.Encode();
-    return Status::OK();
-  }
-
   Status HandlePing(const std::string& payload, std::string* reply) {
     PingRequest request;
     KSPDG_RETURN_NOT_OK(PingRequest::Decode(payload, &request));
@@ -234,8 +218,7 @@ class WorkerState {
   ShardId shard_id_ = kInvalidShard;
   uint32_t replica_id_ = 0;
   std::vector<char> owned_;
-  /// Last prepared epoch == number of traffic batches applied (the worker
-  /// treats prepare as apply; commit is bookkeeping).
+  /// Last prepared epoch == number of traffic batches applied.
   uint64_t epoch_ = 0;
   std::string last_prepare_reply_;
 
@@ -271,9 +254,6 @@ int Run(const std::string& socket_path, int64_t idle_timeout_ms) {
       case MessageType::kEpochPrepareRequest:
         *reply_type = MessageType::kEpochPrepareReply;
         return state.HandlePrepare(payload, reply_payload);
-      case MessageType::kEpochCommitRequest:
-        *reply_type = MessageType::kEpochCommitReply;
-        return state.HandleCommit(payload, reply_payload);
       case MessageType::kPingRequest:
         *reply_type = MessageType::kPingReply;
         return state.HandlePing(payload, reply_payload);

@@ -41,9 +41,7 @@ struct SolverInput {
   /// duration of Solve().
   PartialProvider* partials = nullptr;
   /// The CANDS baseline index (service-owned, maintained by
-  /// ApplyTrafficBatch). nullptr when the service was created with
-  /// enable_cands = false; the "cands" backend then rejects queries with
-  /// kFailedPrecondition. Ignored by every other backend.
+  /// ApplyTrafficBatch). Read only by the "cands" backend.
   const CandsIndex* cands = nullptr;
   VertexId source = kInvalidVertex;
   VertexId target = kInvalidVertex;
@@ -125,9 +123,9 @@ Status PrepareRoutingQuery(const SolverRegistry& registry,
                            const RoutingOptions& defaults, const Graph& graph,
                            const RouteRequest& request, PreparedRoute* out);
 
-/// Builds the CANDS baseline index the service owns when its enable_cands
-/// option is set: the partition/build-thread knobs are derived from the
-/// DTLP options in ONE place.
+/// Builds the CANDS baseline index the service owns: the
+/// partition/build-thread knobs are derived from the DTLP options in ONE
+/// place.
 Result<std::unique_ptr<CandsIndex>> BuildCandsIndex(const Graph& graph,
                                                     const DtlpOptions& dtlp);
 

@@ -269,12 +269,10 @@ Status RoutingService::Init(const BackendFactory& make_backend) {
   Result<std::unique_ptr<Dtlp>> dtlp = Dtlp::Build(graph_, options_.dtlp);
   if (!dtlp.ok()) return dtlp.status();
   dtlp_ = std::move(dtlp).value();
-  if (options_.enable_cands) {
-    Result<std::unique_ptr<CandsIndex>> cands =
-        BuildCandsIndex(graph_, options_.dtlp);
-    if (!cands.ok()) return cands.status();
-    cands_ = std::move(cands).value();
-  }
+  Result<std::unique_ptr<CandsIndex>> cands =
+      BuildCandsIndex(graph_, options_.dtlp);
+  if (!cands.ok()) return cands.status();
+  cands_ = std::move(cands).value();
   Result<ShardAssignment> assignment =
       AssignShards(dtlp_->partition(), options_.num_shards);
   if (!assignment.ok()) return assignment.status();
@@ -531,7 +529,7 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     std::span<const WeightUpdate> updates) {
   // Validate before taking any lock: a rejected batch must leave every
   // snapshot untouched (and NumEdges is immutable, so no lock is needed).
-  KSPDG_RETURN_NOT_OK(ValidateWeightUpdates(graph_, updates));
+  KSPDG_RETURN_NOT_OK(ValidateWeightUpdates(graph_.NumEdges(), updates));
   // Updates per shard: which shards' cached partials go stale, and what
   // each shard owner must report having applied.
   const Partition& partition = dtlp_->partition();
@@ -559,15 +557,13 @@ Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
     }
   }
   backend_->Apply(epoch, updates, updates_of_shard);
-  if (cands_ != nullptr) {
-    // CANDS maintenance: every touched subgraph's exact boundary-pair
-    // shortest paths are recomputed — deliberately inside the exclusive
-    // window so the bench measures the paper's rebuild-vs-incremental
-    // contrast on the same serving path.
-    WallTimer cands_timer;
-    result.cands = cands_->ApplyUpdates(updates);
-    result.cands_micros = cands_timer.ElapsedMicros();
-  }
+  // CANDS maintenance: every touched subgraph's exact boundary-pair
+  // shortest paths are recomputed — deliberately inside the exclusive
+  // window so the bench measures the paper's rebuild-vs-incremental
+  // contrast on the same serving path.
+  WallTimer cands_timer;
+  result.cands = cands_->ApplyUpdates(updates);
+  result.cands_micros = cands_timer.ElapsedMicros();
   epoch_.store(epoch, std::memory_order_release);
 
   result.epoch = epoch;

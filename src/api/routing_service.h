@@ -67,12 +67,6 @@ struct RoutingServiceOptions {
   RoutingOptions defaults;
   /// DTLP construction knobs (partition size z, level-1 ξ, build threads).
   DtlpOptions dtlp;
-  /// Build and maintain the CANDS baseline index (exact boundary-pair
-  /// shortest paths per subgraph) so the kShortestPath kind's "cands"
-  /// backend is servable. Its rebuild-on-update maintenance runs inside
-  /// every ApplyTrafficBatch — the paper's Figures 40-41 cost contrast —
-  /// and is reported in TrafficBatchResult. Disable to skip both costs.
-  bool enable_cands = true;
   /// Shards the subgraph set is split over (>= 1; shards beyond the
   /// subgraph count own nothing).
   uint32_t num_shards = 1;
@@ -173,8 +167,6 @@ class RoutingService : public RoutingServiceInterface {
   /// Read-only views for tooling; all writes go through ApplyTrafficBatch.
   const Graph& graph() const { return graph_; }
   const Dtlp& dtlp() const { return *dtlp_; }
-  /// nullptr when created with enable_cands = false.
-  const CandsIndex* cands() const { return cands_.get(); }
   const RoutingOptions& defaults() const { return options_.defaults; }
 
  protected:
@@ -261,9 +253,10 @@ class RoutingService : public RoutingServiceInterface {
   /// counters.
   MetricsRegistry metrics_;
   std::unique_ptr<Dtlp> dtlp_;
-  /// The CANDS baseline index behind the "cands" backend; coordinator-owned
-  /// like the flat weights and rebuilt-on-update inside ApplyTrafficBatch.
-  /// Null when enable_cands is false.
+  /// The CANDS baseline index behind the "cands" backend (exact
+  /// boundary-pair shortest paths per subgraph); coordinator-owned like the
+  /// flat weights and rebuilt-on-update inside ApplyTrafficBatch — the
+  /// paper's Figures 40-41 cost contrast, reported in TrafficBatchResult.
   std::unique_ptr<CandsIndex> cands_;
   SolverRegistry registry_;
   /// Set by the first served query; freezes the registry (see

@@ -54,8 +54,8 @@ struct TrafficBatchResult {
   uint64_t epoch = 0;
   /// Algorithm 2 maintenance counters.
   DtlpUpdateStats dtlp;
-  /// CANDS rebuild-on-update maintenance (all-zero when enable_cands is
-  /// false): the expensive side of the Figures 40-41 contrast.
+  /// CANDS rebuild-on-update maintenance: the expensive side of the
+  /// Figures 40-41 contrast.
   CandsUpdateStats cands;
   /// Wall time of the CANDS rebuild within this batch.
   double cands_micros = 0;

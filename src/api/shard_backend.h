@@ -15,8 +15,8 @@
 //                             (src/remote); a fetch is a PartialsRequest to
 //                             one replica with failover, and a traffic batch
 //                             is one apply RPC per live replica, in which
-//                             each worker runs Dtlp::ApplyUpdates on its
-//                             owned updates.
+//                             each worker writes its owned updates into its
+//                             subgraph weight copies.
 //
 // Everything else — grouping a boundary pair's subgraphs by shard, the
 // per-(shard, worker) partial caches, the MergeSubgraphPartials gather, the

@@ -289,9 +289,7 @@ class CandsSolver : public KspSolver {
           std::to_string(input.options.k) + ")");
     }
     if (input.cands == nullptr) {
-      return Status::FailedPrecondition(
-          "cands backend requires the CANDS index (service created with "
-          "enable_cands = false)");
+      return Status::FailedPrecondition("cands backend requires a CANDS index");
     }
     KspQueryResult result;
     std::optional<Path> p =

@@ -35,13 +35,13 @@ bool Graph::IsConnected() const {
   return count == NumVertices();
 }
 
-Status ValidateWeightUpdates(const Graph& graph,
+Status ValidateWeightUpdates(size_t num_edges,
                              std::span<const WeightUpdate> updates) {
   for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph.NumEdges()) {
+    if (update.edge >= num_edges) {
       return Status::InvalidArgument(
           "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph.NumEdges()) +
+          " out of range (graph has " + std::to_string(num_edges) +
           " edges)");
     }
     if (!(update.new_forward > 0) || !(update.new_backward > 0)) {

@@ -183,11 +183,12 @@ class Graph {
   std::vector<Weight> weight_bwd_;
 };
 
-/// Checks a traffic batch against `graph`: every update names an existing
-/// edge and both new weights are positive. The coordinator and every shard
-/// worker run this one check, so a batch one side accepts the other does
-/// too. Returns the first violation as kInvalidArgument.
-Status ValidateWeightUpdates(const Graph& graph,
+/// Checks a traffic batch against a graph of `num_edges` edges: every
+/// update names an existing edge and both new weights are positive. The
+/// coordinator and every shard worker run this one check, so a batch one
+/// side accepts the other does too. Returns the first violation as
+/// kInvalidArgument.
+Status ValidateWeightUpdates(size_t num_edges,
                              std::span<const WeightUpdate> updates);
 
 }  // namespace kspdg

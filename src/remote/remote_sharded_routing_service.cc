@@ -62,11 +62,10 @@ std::atomic<uint64_t> g_instance_counter{0};
 }  // namespace
 
 // The RPC replica-set shard backend: num_replicas shard_worker processes
-// per shard, plus the replication log (checkpoint + retained history) that
-// revives them. Every method that touches the fleet's membership or log
-// (Apply, RestartDeadWorkers, the checkpoint accessors) runs
-// under the coordinator's snapshot lock — exclusive for writers, shared
-// for readers — which is the log's only guard.
+// per shard, each holding its shard's subgraph weight copies. Every method
+// that touches the fleet's membership or epoch (Apply, RestartDeadWorkers)
+// runs under the coordinator's exclusive snapshot lock, which is their only
+// guard.
 class ReplicaFleet final : public ShardBackend {
  public:
   ReplicaFleet(const Graph& graph, const ShardAssignment& assignment,
@@ -75,15 +74,7 @@ class ReplicaFleet final : public ShardBackend {
       : graph_(graph),
         assignment_(assignment),
         options_(std::move(options)),
-        checkpoint_graph_(graph),
         next_replica_(assignment.num_shards) {
-    // The replay source for worker (re)starts: a restarted worker must
-    // re-derive the exact incrementally-maintained state of its peers, so
-    // it loads the latest checkpoint and replays the retained history.
-    // Until the first checkpoint that is the pristine Create-time graph at
-    // epoch 0. (Safe because the partition is weight-independent and worker
-    // partials read only subgraph weight copies: replaying from a
-    // checkpoint lands on the same bytes as replaying from scratch.)
     const std::string socket_dir = ResolveSocketDir(options_.remote.socket_dir);
     const uint64_t instance =
         g_instance_counter.fetch_add(1, std::memory_order_relaxed);
@@ -213,24 +204,28 @@ class ReplicaFleet final : public ShardBackend {
 
   // The whole replication of one traffic batch, in one round: fan the FULL
   // batch out to every replica that is alive at the preceding epoch (each
-  // applies the updates its subgraphs own through Dtlp::ApplyUpdates), then
-  // log the batch for replay. A failed apply marks the replica dead (its
-  // reads fail over to siblings until restart) instead of failing or
-  // stalling the batch. A replica already lagging is skipped — applies run
-  // strictly in epoch order — and stays out of the read rotation until the
-  // next catch-up.
+  // writes the updates its subgraphs own into their weight copies). A
+  // failed apply marks the replica dead (its reads fail over to siblings
+  // until restart) instead of failing or stalling the batch. A replica
+  // already lagging is skipped — applies run strictly in epoch order — and
+  // stays out of the read rotation until the next catch-up.
   void Apply(uint64_t epoch, std::span<const WeightUpdate> updates,
              std::span<const uint64_t> updates_of_shard) override {
+    // The master graph already carries this batch's weights.
+    epoch_ = epoch;
     if (options_.remote.auto_restart) {
-      // Revive dead replicas and catch up lagging ones to the preceding
-      // epoch first, so they take part in this one instead of falling
-      // another batch behind. Best-effort: a replica that stays dead
+      // Revive dead replicas and reload the ones too far behind to take
+      // this batch's prepare. They load the master weights, so they land
+      // at `epoch` and the fan-out below skips them; replicas at epoch - 1
+      // take the prepare as usual. Best-effort: a replica that stays dead
       // degrades to sibling reads (or per-query errors once the whole
       // shard is dead), not this batch.
-      (void)RestartDeadWorkers();
+      (void)ReviveWorkers(/*min_epoch=*/epoch - 1);
     }
-    LoggedBatch batch{{updates.begin(), updates.end()},
-                      {updates_of_shard.begin(), updates_of_shard.end()}};
+    EpochPrepareRequest prepare;
+    prepare.epoch = epoch;
+    prepare.updates.assign(updates.begin(), updates.end());
+    const std::string payload = prepare.Encode();
     const auto& hook = options_.remote.before_prepare_hook;
     apply_pool_->ParallelFor(
         workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
@@ -243,76 +238,19 @@ class ReplicaFleet final : public ShardBackend {
           // but silently misses this epoch (and leaves the read rotation
           // via the epoch check until caught up).
           if (hook && !hook(FaultPoint(worker, epoch))) return;
-          if (ApplyOnWorker(worker, epoch, batch).ok()) {
+          if (ApplyOnWorker(worker, epoch, payload,
+                            updates_of_shard[worker.shard])
+                  .ok()) {
             worker.epoch.store(epoch, std::memory_order_release);
           } else {
             MarkDead(worker);
           }
         });
-    history_.push_back(std::move(batch));
-    if (history_.size() >= std::max<size_t>(1, options_.max_history_batches)) {
-      // Bound the retained history with a checkpoint: snapshot the master
-      // weights (the coordinator applied this batch to them already) and
-      // truncate the log. A replica restarting later loads this snapshot
-      // and replays only the batches logged after it.
-      checkpoint_graph_ = graph_;
-      checkpoint_epoch_ = epoch;
-      history_.clear();
-    }
   }
 
   /// See RemoteShardedRoutingService::RestartDeadWorkers; the caller holds
   /// the exclusive snapshot lock.
-  Status RestartDeadWorkers() {
-    // A worker that crashed without a failed RPC still looks alive; a cheap
-    // ping flushes silent deaths out (and refreshes each survivor's
-    // reported epoch) before we decide who needs reviving or catching up.
-    for (std::unique_ptr<Worker>& worker : workers_) {
-      if (worker->alive.load(std::memory_order_acquire)) {
-        (void)HealthCheck(*worker);
-      }
-    }
-    const uint64_t committed = CommittedEpoch();
-    Status first_failure = Status::OK();
-    for (std::unique_ptr<Worker>& worker : workers_) {
-      if (worker->alive.load(std::memory_order_acquire)) {
-        // Alive but lagging (it missed prepares — dropped RPCs, or revived
-        // after the fact): replay it back in place, no respawn needed.
-        if (worker->epoch.load(std::memory_order_acquire) < committed) {
-          Status caught = CatchUpWorker(*worker);
-          if (!caught.ok() && first_failure.ok()) {
-            first_failure = std::move(caught);
-          }
-        }
-        continue;
-      }
-      // Reap the previous incarnation (SIGKILL is a no-op if it already
-      // exited; the waitpid prevents zombies either way).
-      pid_t pid = worker->pid.load(std::memory_order_relaxed);
-      if (pid > 0) {
-        kill(pid, SIGKILL);
-        waitpid(pid, nullptr, 0);
-        worker->pid.store(-1, std::memory_order_relaxed);
-      }
-      worker->client->Disconnect();
-      Status spawned = SpawnAndLoadWorker(*worker);
-      if (spawned.ok()) {
-        worker->restarts.fetch_add(1, std::memory_order_relaxed);
-        // A respawn past epoch 0 replayed history to rejoin the rotation —
-        // that is a catch-up in the replication sense.
-        if (committed > 0) {
-          worker->catchups.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (first_failure.ok()) {
-        first_failure = std::move(spawned);
-      }
-    }
-    if (!first_failure.ok()) {
-      return Status::Unavailable("worker restart failed: " +
-                                 first_failure.ToString());
-    }
-    return Status::OK();
-  }
+  Status RestartDeadWorkers() { return ReviveWorkers(epoch_); }
 
   /// Merges every worker's registry into `fleet` (see
   /// RemoteShardedRoutingService::Metrics).
@@ -355,11 +293,60 @@ class ReplicaFleet final : public ShardBackend {
   }
 
   uint32_t num_replicas() const { return options_.num_replicas; }
-  /// Callers hold the snapshot lock (shared is enough).
-  uint64_t checkpoint_epoch() const { return checkpoint_epoch_; }
-  size_t history_size() const { return history_.size(); }
 
  private:
+  /// Health-checks every replica, respawns the dead ones and reloads the
+  /// alive ones below `min_epoch`; either way they land at epoch_.
+  Status ReviveWorkers(uint64_t min_epoch) {
+    // A worker that crashed without a failed RPC still looks alive; a cheap
+    // ping flushes silent deaths out (and refreshes each survivor's
+    // reported epoch) before we decide who needs reviving or catching up.
+    for (std::unique_ptr<Worker>& worker : workers_) {
+      if (worker->alive.load(std::memory_order_acquire)) {
+        (void)HealthCheck(*worker);
+      }
+    }
+    Status first_failure = Status::OK();
+    for (std::unique_ptr<Worker>& worker : workers_) {
+      if (worker->alive.load(std::memory_order_acquire)) {
+        // Alive but lagging (it missed prepares, e.g. dropped RPCs): reload
+        // it in place, no respawn needed.
+        if (worker->epoch.load(std::memory_order_acquire) < min_epoch) {
+          Status caught = CatchUpWorker(*worker);
+          if (!caught.ok() && first_failure.ok()) {
+            first_failure = std::move(caught);
+          }
+        }
+        continue;
+      }
+      // Reap the previous incarnation (SIGKILL is a no-op if it already
+      // exited; the waitpid prevents zombies either way).
+      pid_t pid = worker->pid.load(std::memory_order_relaxed);
+      if (pid > 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+        worker->pid.store(-1, std::memory_order_relaxed);
+      }
+      worker->client->Disconnect();
+      Status spawned = SpawnAndLoadWorker(*worker);
+      if (spawned.ok()) {
+        worker->restarts.fetch_add(1, std::memory_order_relaxed);
+        // A respawn past epoch 0 loaded weights it had missed to rejoin the
+        // rotation — that is a catch-up in the replication sense.
+        if (epoch_ > 0) {
+          worker->catchups.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else if (first_failure.ok()) {
+        first_failure = std::move(spawned);
+      }
+    }
+    if (!first_failure.ok()) {
+      return Status::Unavailable("worker restart failed: " +
+                                 first_failure.ToString());
+    }
+    return Status::OK();
+  }
+
   /// One replica worker process: transport handle, liveness, and its read
   /// share. `mu` serialises calls on the single connection; `pid` is
   /// written only under the coordinator's exclusive snapshot lock (or during
@@ -391,21 +378,9 @@ class ReplicaFleet final : public ShardBackend {
     mutable bool has_metrics GUARDED_BY(metrics_mu) = false;
   };
 
-  /// One traffic batch as the replicas apply it: the updates, and how many
-  /// of them fall in each shard's subgraphs (what every replica of that
-  /// shard must report having applied, live or in a replay).
-  struct LoggedBatch {
-    std::vector<WeightUpdate> updates;
-    std::vector<uint64_t> updates_of_shard;
-  };
-
   Worker& WorkerAt(ShardId shard, uint32_t replica) const {
     return *workers_[static_cast<size_t>(shard) * options_.num_replicas +
                      replica];
-  }
-
-  uint64_t CommittedEpoch() const {
-    return checkpoint_epoch_ + history_.size();
   }
 
   static ReplicaFaultPoint FaultPoint(const Worker& worker, uint64_t epoch) {
@@ -456,15 +431,16 @@ class ReplicaFleet final : public ShardBackend {
     return Status::OK();
   }
 
-  // Ships the checkpoint graph to the worker process (which rebuilds the
-  // partition + index deterministically and resets to checkpoint_epoch_)
-  // and cross-checks the rebuilt ownership against the coordinator's.
-  Status LoadCheckpoint(Worker& worker) const {
+  // Ships the master graph to the worker process (which re-partitions it
+  // deterministically and resets to epoch_), cross-checks the rebuilt
+  // ownership against the coordinator's, and on success puts the worker at
+  // epoch_. The caller marks the worker dead on failure.
+  Status LoadWorker(Worker& worker) const {
     LoadGraphRequest load = LoadGraphRequest::FromGraph(
-        checkpoint_graph_, worker.shard, assignment_.num_shards,
-        options_.dtlp);
+        graph_, worker.shard, assignment_.num_shards,
+        options_.dtlp.partition);
     load.replica_id = worker.replica;
-    load.base_epoch = checkpoint_epoch_;
+    load.base_epoch = epoch_;
     std::string reply_payload;
     Status called;
     {
@@ -487,26 +463,24 @@ class ReplicaFleet final : public ShardBackend {
           "worker " + std::to_string(worker.shard) +
           " rebuilt a different shard assignment than the coordinator");
     }
+    if (called.ok()) worker.epoch.store(epoch_, std::memory_order_release);
     return called;
   }
 
-  /// The one checked apply of `epoch` on `worker`, shared by the live
-  /// fan-out and every replay: sends `batch` as an EpochPrepareRequest and
-  /// checks that the worker acknowledged `epoch` and applied exactly the
-  /// updates its shard owns — the cross-check that catches a worker whose
-  /// deterministic rebuild diverged from the coordinator's. The caller marks
-  /// the worker dead on failure.
+  /// The checked apply of `epoch` on `worker`: sends `payload` (the
+  /// encoded EpochPrepareRequest) and checks that the worker acknowledged
+  /// `epoch` and applied exactly the `expected` updates its shard owns —
+  /// the cross-check that catches a worker whose deterministic partition
+  /// diverged from the coordinator's. The caller marks the worker dead on
+  /// failure.
   Status ApplyOnWorker(const Worker& worker, uint64_t epoch,
-                       const LoggedBatch& batch) const {
-    EpochPrepareRequest prepare;
-    prepare.epoch = epoch;
-    prepare.updates = batch.updates;
+                       const std::string& payload, uint64_t expected) const {
     std::string reply_payload;
     Status called;
     {
       MutexLock lock(worker.mu);
       called = worker.client->Call(
-          MessageType::kEpochPrepareRequest, prepare.Encode(),
+          MessageType::kEpochPrepareRequest, payload,
           MessageType::kEpochPrepareReply, &reply_payload,
           options_.remote.apply_deadline_ms);
     }
@@ -515,7 +489,6 @@ class ReplicaFleet final : public ShardBackend {
     if (called.ok() && reply.epoch != epoch) {
       called = Status::Internal("worker acknowledged the wrong epoch");
     }
-    const uint64_t expected = batch.updates_of_shard[worker.shard];
     if (called.ok() && reply.updates_applied != expected) {
       called = Status::Internal(
           "worker " + std::to_string(worker.shard) + " replica " +
@@ -527,22 +500,8 @@ class ReplicaFleet final : public ShardBackend {
     return called;
   }
 
-  // Replays every retained batch with epoch > from_epoch in log order;
-  // prepares are idempotent, so a retry after a lost reply is safe.
-  Status ReplayRetainedHistory(const Worker& worker,
-                               uint64_t from_epoch) const {
-    Status called;
-    for (size_t b = 0; called.ok() && b < history_.size(); ++b) {
-      const uint64_t epoch = checkpoint_epoch_ + b + 1;
-      if (epoch <= from_epoch) continue;
-      called = ApplyOnWorker(worker, epoch, history_[b]);
-    }
-    return called;
-  }
-
   /// Spawns the process for `worker` (which must not have a live child) and
-  /// ships it the checkpoint graph + the retained history replay. On
-  /// success the worker is alive at the committed epoch.
+  /// ships it the master graph. On success the worker is alive at epoch_.
   Status SpawnAndLoadWorker(Worker& worker) const {
     std::vector<std::string> args = {
         worker_binary_, "--socket", worker.socket_path, "--idle-timeout-ms",
@@ -559,42 +518,25 @@ class ReplicaFleet final : public ShardBackend {
                               "): " + std::strerror(rc));
     }
     worker.pid.store(pid, std::memory_order_release);
-    // Bootstrap: ship the checkpoint (EnsureConnected inside the client
-    // keeps retrying the connect until the deadline, which covers startup),
-    // then replay the retained history so the worker re-derives the exact
-    // incremental index state every live replica has.
-    Status called = LoadCheckpoint(worker);
-    if (called.ok()) called = ReplayRetainedHistory(worker, checkpoint_epoch_);
+    // Bootstrap (EnsureConnected inside the client keeps retrying the
+    // connect until the deadline, which covers startup).
+    Status called = LoadWorker(worker);
     if (!called.ok()) {
       MarkDead(worker);
       return called;
     }
-    worker.epoch.store(CommittedEpoch(), std::memory_order_release);
     worker.alive.store(true, std::memory_order_release);
     return Status::OK();
   }
 
-  /// Replays the retained history onto an alive-but-lagging worker (or
-  /// reloads it from the checkpoint when it fell behind the checkpoint
-  /// epoch) so it rejoins the read rotation at the committed epoch.
+  /// Reloads an alive-but-lagging worker in place so it rejoins the read
+  /// rotation at epoch_: one LoadGraph, however many batches it missed.
   Status CatchUpWorker(Worker& worker) const {
-    const uint64_t target = CommittedEpoch();
-    uint64_t at = worker.epoch.load(std::memory_order_acquire);
-    if (at >= target) return Status::OK();
-    Status called;
-    if (at < checkpoint_epoch_) {
-      // The replica fell behind the log truncation point: its missing
-      // epochs are no longer retained individually, so reload it from the
-      // checkpoint before replaying what is.
-      called = LoadCheckpoint(worker);
-      at = checkpoint_epoch_;
-    }
-    if (called.ok()) called = ReplayRetainedHistory(worker, at);
+    Status called = LoadWorker(worker);
     if (!called.ok()) {
       MarkDead(worker);
       return called;
     }
-    worker.epoch.store(target, std::memory_order_release);
     worker.catchups.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
@@ -675,23 +617,16 @@ class ReplicaFleet final : public ShardBackend {
     if (!worker.socket_path.empty()) ::unlink(worker.socket_path.c_str());
   }
 
-  /// The coordinator's master graph: the source of every checkpoint.
+  /// The coordinator's master graph: what every (re)load ships.
   const Graph& graph_;
   const ShardAssignment& assignment_;
   const RemoteShardedRoutingServiceOptions options_;
   /// Resolved worker binary path (see RemoteWorkerOptions::worker_binary).
   std::string worker_binary_;
-  /// Latest checkpoint: a full copy of the graph as of checkpoint_epoch_
-  /// (the pristine Create-time graph at epoch 0 until the first checkpoint
-  /// is taken) — what a (re)spawned worker is loaded with before the
-  /// retained history is replayed onto it. Guarded by the exclusive
-  /// snapshot lock, like everything below.
-  Graph checkpoint_graph_;
-  uint64_t checkpoint_epoch_ = 0;
-  /// Traffic batches applied after checkpoint_epoch_, in epoch order —
-  /// history_[b] is the batch of epoch checkpoint_epoch_ + b + 1. Bounded
-  /// by max_history_batches (a new checkpoint truncates it).
-  std::vector<LoggedBatch> history_;
+  /// The epoch graph_'s weights belong to: what a (re)loaded worker starts
+  /// at. Inside Apply it is already the new epoch, since the coordinator
+  /// applies the batch to its master before calling Apply.
+  uint64_t epoch_ = 0;
   /// The fleet, shard-major: workers_[shard * num_replicas + replica].
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Per-shard round-robin start offset for the next partial fetch.
@@ -741,18 +676,6 @@ std::vector<RemoteWorkerInfo> RemoteShardedRoutingService::WorkerInfos()
 
 uint32_t RemoteShardedRoutingService::num_replicas() const {
   return fleet_->num_replicas();
-}
-
-uint64_t RemoteShardedRoutingService::checkpoint_epoch() const {
-  // The log only mutates under the exclusive half of the snapshot lock; a
-  // shared hold is enough here.
-  EpochReaderLock pin(snapshot_lock());
-  return fleet_->checkpoint_epoch();
-}
-
-size_t RemoteShardedRoutingService::history_size() const {
-  EpochReaderLock pin(snapshot_lock());
-  return fleet_->history_size();
 }
 
 }  // namespace kspdg

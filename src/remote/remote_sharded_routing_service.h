@@ -4,15 +4,16 @@
 //
 // Topology: the coordinator (the RoutingService core: graph, DTLP master,
 // CANDS, epochs, queue, registry) plus num_shards x num_replicas
-// `shard_worker` processes, each replica owning one shard of the DTLP
-// partition (the same deterministic AssignShards split as every
-// deployment). The coordinator keeps its master copy of the whole state,
-// because the KSP-DG filter step reads per-subgraph lower bounds on every
-// query. What moves across the process boundary is the refine step: the
-// core's partial provider hands each shard's boundary-pair fetch to this
-// backend, which turns it into a PartialsRequest RPC. (Keeping the level-1
-// indexes on the coordinator as well is a deliberate deviation from the
-// paper's pure deployment; it is what lets one node answer the filter step
+// `shard_worker` processes, each replica holding the subgraph weight
+// copies of one shard of the partition (the same deterministic
+// AssignShards split as every deployment). The DTLP's level-1 indexes and
+// skeleton live only on the coordinator, because the KSP-DG filter step
+// reads per-subgraph lower bounds on every query. What moves across the
+// process boundary is the refine step: the core's partial provider hands
+// each shard's boundary-pair fetch to this backend, which turns it into a
+// PartialsRequest RPC. (Keeping the level-1 indexes on the coordinator
+// rather than on the subgraphs' owners is a deliberate deviation from the
+// paper's deployment; it is what lets one node answer the filter step
 // without a network hop per bound lookup.)
 //
 // What the fleet adds to the core, and nothing else:
@@ -20,33 +21,32 @@
 //   reads     each fetch starts at the shard's round-robin cursor and walks
 //             the replica set, skipping replicas that are dead or have not
 //             committed the pinned epoch, failing over on transport errors.
-//             Every replica replays the same epoch sequence, so whichever
-//             one answers, the bytes are identical. Only an all-replicas-
-//             dead shard fails a query (kUnavailable), through the core's
-//             query-poisoning path — never a hang, never a wrong answer.
+//             Every replica at an epoch holds the same weights, so
+//             whichever one answers, the bytes are identical. Only an
+//             all-replicas-dead shard fails a query (kUnavailable), through
+//             the core's query-poisoning path — never a hang, never a wrong
+//             answer.
 //   writes    one apply RPC per live replica per traffic batch, under
 //             the core's exclusive snapshot lock: an EpochPrepare RPC fans
 //             the full batch out to every replica alive at the preceding
-//             epoch (each filters to its owned subgraphs, runs
-//             Dtlp::ApplyUpdates on them and reports how many it applied),
-//             then the core publishes the epoch. There is no commit round.
-//             A replica whose apply fails, or whose reply names the wrong
-//             epoch or update count, is marked dead rather than failing the
-//             batch. The epoch sequence IS the replication log (single
-//             writer, so no consensus round is needed).
-//   recovery  the batch history back to the latest checkpoint (a full
-//             weight snapshot every max_history_batches batches);
-//             RestartDeadWorkers (also run by ApplyTrafficBatch when
-//             auto_restart is set) health-checks every replica, respawns the
-//             dead ones from the checkpoint plus the retained history, and
-//             replays an alive-but-lagging one in place. A replay sends each
-//             batch through the same checked apply as the live fan-out.
+//             epoch (each writes the updates its subgraphs own into their
+//             weight copies and reports how many it applied), then the core
+//             publishes the epoch. There is no commit round. A replica
+//             whose apply fails, or whose reply names the wrong epoch or
+//             update count, is marked dead rather than failing the batch.
+//   recovery  no log: a worker's state is a pure function of the current
+//             weights (the partition does not depend on them, and updates
+//             are absolute). RestartDeadWorkers (also run by
+//             ApplyTrafficBatch when auto_restart is set) health-checks
+//             every replica, respawns the dead ones and reloads an
+//             alive-but-lagging one in place, each with one LoadGraph of
+//             the coordinator's master graph stamped with its epoch.
 //   metrics   Metrics() merges every worker's registry (shipped back in ping
 //             replies) into the core's scrape.
 //
 // Fault model: every RPC has a per-attempt deadline and a bounded retry
 // budget (all protocol requests are idempotent — prepares replay their
-// stored reply, partials are reads).
+// stored reply, partials are reads, a load resets the worker).
 #ifndef KSPDG_REMOTE_REMOTE_SHARDED_ROUTING_SERVICE_H_
 #define KSPDG_REMOTE_REMOTE_SHARDED_ROUTING_SERVICE_H_
 
@@ -98,12 +98,13 @@ struct RemoteWorkerOptions {
   /// Idle-accept timeout handed to each worker: a worker whose coordinator
   /// died exits on its own after this long without a connection.
   int64_t worker_idle_timeout_ms = 120'000;
-  /// Respawn + replay dead workers at the start of every ApplyTrafficBatch
-  /// (RestartDeadWorkers can always be called explicitly).
+  /// Respawn dead workers and reload lagging ones at the start of every
+  /// ApplyTrafficBatch (RestartDeadWorkers can always be called
+  /// explicitly).
   bool auto_restart = true;
   /// Test-only fault injection: called immediately before the prepare RPC
   /// of each replica taking part in a live epoch advance (not before
-  /// replays). Returning false drops the RPC — the replica silently misses
+  /// reloads). Returning false drops the RPC — the replica silently misses
   /// the epoch, exactly as a lost message would — and the hook may also
   /// kill or stop the named pid to script a crash mid-batch.
   /// Never set in production.
@@ -117,10 +118,6 @@ struct RemoteShardedRoutingServiceOptions : RoutingServiceOptions {
   /// num_shards * num_replicas worker processes; reads load-balance across
   /// a shard's replicas, writes go to all of them in epoch order.
   uint32_t num_replicas = 1;
-  /// Batches retained in the replay history before the coordinator takes a
-  /// checkpoint (full weight snapshot) and truncates the log. Bounds the
-  /// catch-up cost of a replica restart; 0 is treated as 1.
-  size_t max_history_batches = 32;
   RemoteWorkerOptions remote;
 };
 
@@ -139,8 +136,8 @@ struct RemoteWorkerInfo {
   uint64_t epoch = 0;
   /// Times this worker was respawned (0 for the original process).
   uint64_t restarts = 0;
-  /// Times this worker was caught back up to the committed epoch (respawn
-  /// replay or in-place replay) after missing one or more batches.
+  /// Times this worker was caught back up to the committed epoch (a
+  /// respawn or an in-place reload) after missing one or more batches.
   uint64_t catchups = 0;
   /// Partial fetches this replica served (the read-rotation share).
   uint64_t reads = 0;
@@ -158,11 +155,11 @@ class RemoteShardedRoutingService : public RoutingService {
   static Result<std::unique_ptr<RemoteShardedRoutingService>> Create(
       Graph graph, RemoteShardedRoutingServiceOptions options = {});
 
-  /// Health-checks every replica, respawns + replays the dead ones (from
-  /// the latest checkpoint), and replays an alive-but-lagging replica back
-  /// to the committed epoch in place. Returns OK when every replica is
-  /// alive at the committed epoch afterwards; kUnavailable when any could
-  /// not be revived (the others still serve).
+  /// Health-checks every replica, respawns the dead ones, and reloads an
+  /// alive-but-lagging replica in place; either way the replica gets the
+  /// master weights at the committed epoch in one LoadGraph. Returns OK
+  /// when every replica is alive at the committed epoch afterwards;
+  /// kUnavailable when any could not be revived (the others still serve).
   Status RestartDeadWorkers();
 
   /// Fleet-wide scrape: the core's registry merged with every worker's
@@ -178,12 +175,6 @@ class RemoteShardedRoutingService : public RoutingService {
   std::vector<RemoteWorkerInfo> WorkerInfos() const;
 
   uint32_t num_replicas() const;
-
-  /// Checkpoint bookkeeping (monitoring + tests): the epoch of the latest
-  /// full weight snapshot and the batches retained after it. The replay
-  /// cost of a replica restart is bounded by history_size().
-  uint64_t checkpoint_epoch() const;
-  size_t history_size() const;
 
  private:
   RemoteShardedRoutingService(Graph graph, RoutingServiceOptions options)

@@ -5,11 +5,12 @@
 // truncated payloads are rejected, never trusted. The byte format is the
 // WireWriter/WireReader codec (core/wire_codec.h).
 //
-// The protocol is deliberately small: load-graph (worker bootstrap +
-// restart), partial-list request/reply (the KSP-DG refine step), epoch
-// prepare (a replica's whole share of one traffic batch: there is no
-// second round), health ping, and shutdown. An ErrorReply carries a Status
-// back for any request the worker rejects.
+// The protocol is deliberately small: load-graph (worker bootstrap, and
+// every respawn or catch-up: a reload at the current weights), partial-list
+// request/reply (the KSP-DG refine step), epoch prepare (a replica's whole
+// share of one traffic batch: there is no second round), health ping, and
+// shutdown. An ErrorReply carries a Status back for any request the worker
+// rejects.
 #ifndef KSPDG_RPC_WIRE_H_
 #define KSPDG_RPC_WIRE_H_
 
@@ -21,10 +22,10 @@
 #include "core/status.h"
 #include "core/types.h"
 #include "core/wire_codec.h"
-#include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "ksp/path.h"
 #include "kspdg/partial_provider.h"
+#include "partition/partitioner.h"
 #include "partition/shard_assignment.h"
 
 namespace kspdg {
@@ -47,20 +48,20 @@ enum class MessageType : uint8_t {
 
 // --- Messages --------------------------------------------------------------
 
-/// Bootstraps (or resets) a worker: the full graph, the DTLP build knobs,
+/// Bootstraps (or resets) a worker: the full graph, the partition knobs,
 /// and which shard of the resulting partition this worker owns. The worker
-/// rebuilds the partition/index deterministically from these inputs, so its
-/// subgraph state is identical to the coordinator's by construction.
+/// re-partitions deterministically from these inputs, so its subgraph
+/// weight copies are identical to the coordinator's by construction.
 struct LoadGraphRequest {
   ShardId shard_id = 0;
   uint32_t num_shards = 1;
   /// Which replica of the shard this worker is (diagnostics + ping echo).
   uint32_t replica_id = 0;
-  /// Epoch the shipped weights correspond to. A freshly loaded worker
-  /// starts at this epoch, not zero — the coordinator ships its latest
-  /// checkpoint and replays only the batches committed after it.
+  /// Epoch the shipped weights belong to. A freshly loaded worker starts at
+  /// this epoch, not zero: the coordinator ships its current master weights
+  /// and the next prepare names base_epoch + 1.
   uint64_t base_epoch = 0;
-  DtlpOptions dtlp;
+  PartitionOptions partition;
   /// The graph: topology + initial vfrag weights + current weights.
   bool directed = false;
   uint64_t num_vertices = 0;
@@ -74,7 +75,7 @@ struct LoadGraphRequest {
   /// Captures `graph` into the request fields.
   static LoadGraphRequest FromGraph(const Graph& graph, ShardId shard_id,
                                     uint32_t num_shards,
-                                    const DtlpOptions& dtlp);
+                                    const PartitionOptions& partition);
   /// Reconstructs the graph (validated; rejects corrupt payloads).
   Result<Graph> BuildGraph() const;
 
@@ -116,11 +117,12 @@ struct PartialsReply {
 };
 
 /// The cross-process traffic apply, one round: the full update batch for
-/// `epoch` (== worker's current epoch + 1). The worker keeps the updates
-/// its subgraphs own, runs Dtlp::ApplyUpdates on them (the coordinator's
-/// Algorithm 2), and replies. Re-sending the epoch the worker already
-/// prepared replays the stored reply (absolute weights make the apply
-/// idempotent), so a retry after a lost reply is safe.
+/// `epoch` (== worker's current epoch + 1). The worker writes the updates
+/// its subgraphs own into their weight copies and replies with the count
+/// (Algorithm 2's bounds live only on the coordinator). Re-sending the
+/// epoch the worker already prepared replays the stored reply (absolute
+/// weights make the apply idempotent), so a retry after a lost reply is
+/// safe.
 struct EpochPrepareRequest {
   uint64_t epoch = 0;
   std::vector<WeightUpdate> updates;
@@ -135,8 +137,6 @@ struct EpochPrepareReply {
   /// cross-checks this against its own per-shard count to detect
   /// divergence).
   uint64_t updates_applied = 0;
-  /// Owned subgraphs touched by the batch.
-  uint64_t subgraphs_touched = 0;
 
   std::string Encode() const;
   static Status Decode(std::string_view payload, EpochPrepareReply* out);

@@ -1147,22 +1147,6 @@ TEST(MultiKindQueryTest, ShortestPathKindValidatesAndHonoursOverrides) {
   EXPECT_EQ(overridden.value().kind, QueryKind::kShortestPath);
 }
 
-TEST(MultiKindQueryTest, CandsBackendFailsCleanlyWhenDisabled) {
-  Graph g = MakeRandomConnected(16, 20, 1, 9, 73);
-  RoutingServiceOptions options;
-  options.enable_cands = false;
-  Result<std::unique_ptr<RoutingService>> service =
-      RoutingService::Create(std::move(g), std::move(options));
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  Result<RouteResponse> response = service.value()->Query(
-      MakeKindRequest(QueryKind::kShortestPath, 0, 15));
-  EXPECT_EQ(response.status().code(), StatusCode::kFailedPrecondition);
-  // The kind itself stays answerable through an overriding backend.
-  RouteRequest via_dijkstra = MakeKindRequest(QueryKind::kShortestPath, 0, 15);
-  via_dijkstra.options.backend = kBackendDijkstra;
-  EXPECT_TRUE(service.value()->Query(via_dijkstra).ok());
-}
-
 TEST(MultiKindQueryTest, DiverseKindIsDeterministicSubsetWithBoundedTheta) {
   for (const char* backend : {kBackendKspDg, kBackendYen}) {
     Graph g = MakeRandomConnected(30, 44, 1, 9, 83);

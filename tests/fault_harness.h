@@ -126,13 +126,11 @@ inline std::function<bool(const ReplicaFaultPoint&)> MakePrepareHook(
 /// off by default so tests control exactly when revival happens.
 inline std::unique_ptr<RemoteShardedRoutingService> MustCreateReplicated(
     Graph g, uint32_t z, uint32_t num_shards, uint32_t num_replicas,
-    std::shared_ptr<FaultPlan> plan = nullptr, bool auto_restart = false,
-    size_t max_history_batches = 32) {
+    std::shared_ptr<FaultPlan> plan = nullptr, bool auto_restart = false) {
   RemoteShardedRoutingServiceOptions options;
   options.dtlp.partition.max_vertices = z;
   options.num_shards = num_shards;
   options.num_replicas = num_replicas;
-  options.max_history_batches = max_history_batches;
   options.remote.rpc_deadline_ms = 300;
   options.remote.rpc_max_retries = 0;
   options.remote.rpc_backoff_ms = 1;

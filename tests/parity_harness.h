@@ -42,8 +42,7 @@ inline std::unique_ptr<RoutingService> MustCreateSharded(
 
 // Short RPC deadlines: dead-worker detection costs up to
 // deadline_ms * (1 + retries) per first-failing call, so the fault tests
-// keep the budget tight. The apply deadline stays generous — load-graph
-// rebuilds the DTLP index on the worker.
+// keep the budget tight. The apply deadline keeps its generous default.
 inline std::unique_ptr<RemoteShardedRoutingService> MustCreateRemote(
     Graph g, uint32_t z, uint32_t num_shards, uint32_t num_replicas = 1) {
   RemoteShardedRoutingServiceOptions options;

@@ -4,14 +4,18 @@
 // batched, before and after traffic; the cross-process epoch advance (one
 // apply RPC per replica per batch); and the fault model — killed workers
 // degrade to clean per-query Status errors (never a hang, never a wrong
-// answer) and come back via restart + history replay with their exact
-// incremental state.
+// answer) and come back via a restart that reloads them with the master's
+// current weights; malformed worker input is rejected, never trusted.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <spawn.h>
 #include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <span>
@@ -25,7 +29,12 @@
 #include "graph/traffic_model.h"
 #include "ksp/path.h"
 #include "parity_harness.h"
+#include "partition/partitioner.h"
 #include "remote/remote_sharded_routing_service.h"
+#include "rpc/client.h"
+#include "rpc/wire.h"
+
+extern char** environ;
 
 namespace kspdg {
 namespace {
@@ -340,7 +349,7 @@ TEST(RemoteShardedRoutingServiceTest, TrafficBatchCostsOneRpcPerReplica) {
 
 // ---------------------------------------------------------------------------
 // Fault model: killed workers degrade to per-query errors, never a hang or
-// a wrong answer; restart + replay restores the exact state.
+// a wrong answer; restart + reload restores the exact state.
 // ---------------------------------------------------------------------------
 
 // Fault-suite options: tight per-attempt deadline so a dead worker is
@@ -418,7 +427,7 @@ TEST(RemoteFaultTest, KilledWorkersYieldCleanErrorsNeverHangsOrWrongAnswers) {
   }
 }
 
-TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
+TEST(RemoteFaultTest, RestartDeadWorkersReloadsAndRestoresParity) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 349);
   Graph g_ref = g;
   std::unique_ptr<RemoteShardedRoutingService> service =
@@ -428,8 +437,9 @@ TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr && reference != nullptr);
 
-  // Commit real history first: the restarted workers must re-derive the
-  // exact incrementally-maintained state, not a rebuild from flat weights.
+  // Commit real traffic first: the restarted workers are reloaded with the
+  // master's current weights and must answer exactly like workers that
+  // applied every batch.
   TrafficModelOptions traffic_options;
   traffic_options.alpha = 0.5;
   traffic_options.seed = 61;
@@ -457,7 +467,7 @@ TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
   EXPECT_EQ(service->Metrics().CounterTotal("worker_restarts_total"),
             total_restarts);
 
-  // Full parity at the committed snapshot: replay reconstructed the state.
+  // Full parity at the committed snapshot: the reload restored the state.
   for (VertexId s = 0; s < 6; ++s) {
     for (const char* backend : {kBackendKspDg, kBackendYen}) {
       RouteRequest request = MakeRequest(s, 29 - s, backend, 4);
@@ -493,8 +503,8 @@ TEST(RemoteFaultTest, ApplyTrafficBatchAutoRestartsDeadWorkers) {
 
   KillAllWorkers(*service);
 
-  // The next traffic batch revives the fleet (replaying batch 1), then
-  // commits epoch 2 across it.
+  // The next traffic batch revives the fleet: the master has already
+  // applied it, so the respawned workers load straight at epoch 2.
   std::vector<WeightUpdate> second = traffic.NextBatch();
   ASSERT_TRUE(reference->ApplyTrafficBatch(second).ok());
   Result<TrafficBatchResult> applied = service->ApplyTrafficBatch(second);
@@ -542,6 +552,115 @@ TEST(RemoteShardedRoutingServiceTest, AdmissionSeriesMatchInProcessServices) {
   EXPECT_EQ(counters.admitted, 1u);
   EXPECT_EQ(counters.shed_deadline, 1u);
   EXPECT_EQ(counters.shed_quota, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The worker binary on its own: malformed input is rejected with a Status,
+// and the worker keeps serving afterwards.
+// ---------------------------------------------------------------------------
+
+/// $KSPDG_WORKER_BIN, else "shard_worker" next to this test binary.
+std::string WorkerBinary() {
+  const char* env = std::getenv("KSPDG_WORKER_BIN");
+  if (env != nullptr && env[0] != '\0') return env;
+  char buf[4096];
+  ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) return "shard_worker";
+  std::string self(buf, static_cast<size_t>(n));
+  return self.substr(0, self.rfind('/') + 1) + "shard_worker";
+}
+
+/// One shard_worker process on its own socket, killed and reaped on exit.
+class SpawnedWorker {
+ public:
+  SpawnedWorker() {
+    const char* tmp = std::getenv("TMPDIR");
+    const std::string dir = tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp";
+    socket_path_ =
+        dir + "/kspdg-worker-test-" + std::to_string(getpid()) + ".sock";
+    std::vector<std::string> args = {WorkerBinary(), "--socket", socket_path_,
+                                     "--idle-timeout-ms", "30000"};
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    if (posix_spawn(&pid_, argv[0], nullptr, nullptr, argv.data(), environ) !=
+        0) {
+      pid_ = -1;
+    }
+  }
+  ~SpawnedWorker() {
+    if (pid_ > 0) {
+      kill(pid_, SIGKILL);
+      waitpid(pid_, nullptr, 0);
+    }
+    ::unlink(socket_path_.c_str());
+  }
+
+  bool spawned() const { return pid_ > 0; }
+  const std::string& socket_path() const { return socket_path_; }
+
+ private:
+  std::string socket_path_;
+  pid_t pid_ = -1;
+};
+
+TEST(ShardWorkerTest, PartialsNamingAVertexOutsideTheSubgraphAreRejected) {
+  Graph g = MakeRandomConnected(30, 38, 1, 9, 443);
+  PartitionOptions partition_options;
+  partition_options.max_vertices = 8;
+  Result<Partition> partition = PartitionGraph(g, partition_options);
+  ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+  const Subgraph& sg = partition.value().subgraphs[0];
+  const VertexId inside = sg.GlobalOf(0);
+  const VertexId also_inside = sg.GlobalOf(1);
+  VertexId outside = kInvalidVertex;
+  for (VertexId v = 0; v < g.NumVertices() && outside == kInvalidVertex;
+       ++v) {
+    if (!sg.ContainsGlobal(v)) outside = v;
+  }
+  ASSERT_NE(outside, kInvalidVertex);
+
+  SpawnedWorker worker;
+  ASSERT_TRUE(worker.spawned()) << "cannot spawn " << WorkerBinary();
+  RpcClientOptions client_options;
+  client_options.deadline_ms = 10'000;
+  client_options.max_retries = 0;
+  RpcClient client(worker.socket_path(), client_options);
+  std::string reply;
+  // One shard: the worker owns every subgraph.
+  ASSERT_TRUE(client
+                  .Call(MessageType::kLoadGraphRequest,
+                        LoadGraphRequest::FromGraph(g, 0, 1, partition_options)
+                            .Encode(),
+                        MessageType::kLoadGraphReply, &reply)
+                  .ok());
+
+  auto partials = [&](VertexId x, VertexId y) {
+    PartialsRequest request;
+    request.x = x;
+    request.y = y;
+    request.depth = 2;
+    request.sgids = {0};
+    return client.Call(MessageType::kPartialsRequest, request.Encode(),
+                       MessageType::kPartialsReply, &reply);
+  };
+  Status status = partials(inside, outside);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  status = partials(VertexId{1} << 30, inside);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  // A well-formed request is still answered.
+  status = partials(inside, also_inside);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+
+  PingRequest ping;
+  ping.nonce = 5;
+  status = client.Call(MessageType::kPingRequest, ping.Encode(),
+                       MessageType::kPingReply, &reply);
+  ASSERT_TRUE(status.ok()) << "worker stopped answering: " << status.ToString();
+  PingReply pong;
+  ASSERT_TRUE(PingReply::Decode(reply, &pong).ok());
+  EXPECT_EQ(pong.nonce, 5u);
+  EXPECT_EQ(pong.epoch, 0u);
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 // in-process RoutingService no matter which replica serves each
 // partial fetch, across replica/shard counts, traffic, and every fault the
 // harness can script (a replica killed mid-batch, a replica silently
-// missing epochs, a whole shard dead). Catch-up — in-place replay
-// for a lagging replica, checkpoint + replay for a respawned one — must
-// converge every replica back to the committed epoch with bit-identical
-// state. Drills named *Replica*/*Concurrent* also run under the tsan
-// repeat leg.
+// missing epochs, a whole shard dead). Catch-up — an in-place reload for
+// a lagging replica, a respawn + load for a dead one, one LoadGraph of the
+// master weights either way — must converge every replica back to the
+// committed epoch with bit-identical state. Drills named
+// *Replica*/*Concurrent* also run under the tsan repeat leg.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -90,10 +90,12 @@ TEST(ReplicaTest, ReplicaParityAcrossShardAndReplicaCounts) {
           }
         }
       }
-      // Every replica of every shard acknowledged the committed epoch.
+      // Every replica of every shard acknowledged the committed epoch, by
+      // prepare: auto_restart must not reload a healthy replica.
       for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
         EXPECT_TRUE(info.alive) << info.shard << "/" << info.replica;
         EXPECT_EQ(info.epoch, 1u) << info.shard << "/" << info.replica;
+        EXPECT_EQ(info.catchups, 0u) << info.shard << "/" << info.replica;
       }
     }
   }
@@ -207,7 +209,7 @@ TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   ASSERT_NE(sibling, nullptr);
   EXPECT_TRUE(sibling->alive);
 
-  // Revival respawns exactly the victim and replays it to the committed
+  // Revival respawns exactly the victim and loads it at the committed
   // epoch, after which it answers like everyone else.
   Status restarted = remote->RestartDeadWorkers();
   ASSERT_TRUE(restarted.ok()) << restarted.ToString();
@@ -269,7 +271,7 @@ TEST(ReplicaTest, ReplicaLaggingCatchUpConvergesEpochAndAnswers) {
   ASSERT_TRUE(restarted.ok()) << restarted.ToString();
 
   // replica_epoch converged: every replica (exported gauge included) is at
-  // the committed epoch, and the in-place replay counted as a catch-up.
+  // the committed epoch, and the in-place reload counted as a catch-up.
   for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
     EXPECT_TRUE(info.alive) << info.shard << "/" << info.replica;
     EXPECT_EQ(info.epoch, 2u) << info.shard << "/" << info.replica;
@@ -351,16 +353,92 @@ TEST(ReplicaTest, ReplicaAllDeadShardYieldsUnavailableNoHang) {
             metrics.CounterTotal("queries_rejected_total"));
 }
 
-// The retained history is bounded by checkpoints, and a replica respawned
-// AFTER a checkpoint (its pre-checkpoint batches are gone) still converges
-// bit-identically: it loads the checkpoint snapshot and replays only the
-// tail.
-TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
+// Catch-up costs one reload: a replica that missed N batches is brought
+// back by RestartDeadWorkers with one health-check ping and one LoadGraph,
+// whatever N is.
+TEST(ReplicaTest, ReplicaCatchUpIsOneLoadWhateverItMissed) {
+  Graph g = MakeRandomConnected(30, 38, 1, 9, 427);
+  Graph g_ref = g;
+  auto plan = std::make_shared<FaultPlan>();
+  plan->shard = 1;
+  plan->replica = 0;
+  std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
+      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2, plan);
+  std::unique_ptr<RoutingService> reference =
+      MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
+  ASSERT_TRUE(remote != nullptr && reference != nullptr);
+
+  TrafficModelOptions traffic_options;
+  traffic_options.alpha = 0.5;
+  traffic_options.seed = 89;
+  TrafficModel traffic(reference->graph(), traffic_options);
+  // Replica (1,0) loses its epoch-1 prepare; from then on it lags, so the
+  // fan-out skips it for every later batch too.
+  plan->drop_prepares.store(1);
+  constexpr uint64_t kBatches = 4;
+  for (uint64_t step = 0; step < kBatches; ++step) {
+    std::vector<WeightUpdate> batch = traffic.NextBatch();
+    ASSERT_TRUE(reference->ApplyTrafficBatch(batch).ok());
+    ASSERT_TRUE(remote->ApplyTrafficBatch(batch).ok());
+  }
+  EXPECT_EQ(plan->drop_prepares.load(), 0) << "fault point never reached";
+  const std::vector<RemoteWorkerInfo> lagging_infos = remote->WorkerInfos();
+  const RemoteWorkerInfo* lagging = FindReplica(lagging_infos, 1, 0);
+  ASSERT_NE(lagging, nullptr);
+  EXPECT_TRUE(lagging->alive);
+  EXPECT_EQ(lagging->epoch, 0u);
+
+  // rpc_calls_total is read before the scrape pings its workers, so each
+  // Metrics() call between the two reads adds one ping per live replica.
+  auto replica_calls = [&remote] {
+    uint64_t calls = 0;
+    for (const CounterSample& counter : remote->Metrics().counters) {
+      if (counter.name != "rpc_calls_total") continue;
+      bool shard = false;
+      bool replica = false;
+      for (const auto& [key, value] : counter.labels) {
+        shard = shard || (key == "shard" && value == "1");
+        replica = replica || (key == "replica" && value == "0");
+      }
+      if (shard && replica) calls += counter.value;
+    }
+    return calls;
+  };
+  const uint64_t before = replica_calls();
+  Status restarted = remote->RestartDeadWorkers();
+  ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+  const uint64_t after = replica_calls();
+  const uint64_t scrape_pings = 1;
+  EXPECT_EQ(after - before - scrape_pings, 2u)
+      << "catch-up after " << kBatches
+      << " missed batches must be one health-check ping plus one LoadGraph";
+
+  const std::vector<RemoteWorkerInfo> caught_infos = remote->WorkerInfos();
+  const RemoteWorkerInfo* caught = FindReplica(caught_infos, 1, 0);
+  ASSERT_NE(caught, nullptr);
+  EXPECT_TRUE(caught->alive);
+  EXPECT_EQ(caught->epoch, kBatches);
+  EXPECT_EQ(caught->restarts, 0u) << "catch-up must not respawn";
+  EXPECT_EQ(caught->catchups, 1u);
+  // The reloaded replica is back in rotation: with reads rotating over
+  // both replicas of shard 1, these fetches exercise it.
+  for (VertexId s = 0; s < 6; ++s) {
+    for (QueryKind kind :
+         {QueryKind::kKsp, QueryKind::kShortestPath, QueryKind::kDiverseKsp}) {
+      ExpectQueryParity(*remote, *reference, MakeKindRequest(kind, s, 29 - s),
+                        "after one-load catch-up q " + std::to_string(s));
+    }
+  }
+}
+
+// A replica respawned after several batches loads the master weights at
+// the committed epoch and answers bit-identically to a service that
+// applied every batch incrementally.
+TEST(ReplicaTest, ReplicaRespawnAfterBatchesConverges) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 433);
   Graph g_ref = g;
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
-      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2,
-      /*plan=*/nullptr, /*auto_restart=*/false, /*max_history_batches=*/2);
+      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2);
   std::unique_ptr<RoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
@@ -374,13 +452,8 @@ TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
     ASSERT_TRUE(reference->ApplyTrafficBatch(batch).ok());
     ASSERT_TRUE(remote->ApplyTrafficBatch(batch).ok());
   }
-  // Batches 1+2 hit max_history_batches=2 -> checkpoint at epoch 2, log
-  // truncated; batch 3 is the only retained entry.
-  EXPECT_EQ(remote->checkpoint_epoch(), 2u);
-  EXPECT_EQ(remote->history_size(), 1u);
 
-  // Kill a replica and respawn it: batches 1-2 are no longer replayable,
-  // so convergence MUST go through the checkpoint.
+  // Kill a replica and respawn it: it never saw batches 1-3 applied.
   KillReplica(*remote, /*shard=*/1, /*replica=*/1);
   Status restarted = remote->RestartDeadWorkers();
   ASSERT_TRUE(restarted.ok()) << restarted.ToString();
@@ -398,7 +471,7 @@ TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
     for (QueryKind kind :
          {QueryKind::kKsp, QueryKind::kShortestPath, QueryKind::kDiverseKsp}) {
       ExpectQueryParity(*remote, *reference, MakeKindRequest(kind, s, 29 - s),
-                        "post-checkpoint restart q " + std::to_string(s));
+                        "post-respawn q " + std::to_string(s));
     }
   }
 }

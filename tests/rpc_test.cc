@@ -195,13 +195,12 @@ TEST(WireTest, ReaderRejectsTruncationAndTrailingGarbage) {
 
 TEST(WireTest, LoadGraphRequestRoundTripsTheGraph) {
   Graph graph = MakeRandomConnected(24, 30, 1, 9, 7);
-  DtlpOptions dtlp;
-  dtlp.partition.max_vertices = 8;
-  dtlp.index.xi = 3;
+  PartitionOptions partition;
+  partition.max_vertices = 8;
   LoadGraphRequest request =
       LoadGraphRequest::FromGraph(graph, /*shard_id=*/1, /*num_shards=*/3,
-                                  dtlp);
-  // Checkpoint shipping: the weights above belong to epoch 4, and the new
+                                  partition);
+  // A reload mid-stream: the weights above belong to epoch 4, and the new
   // worker is replica 2 of its shard.
   request.replica_id = 2;
   request.base_epoch = 4;
@@ -213,8 +212,7 @@ TEST(WireTest, LoadGraphRequestRoundTripsTheGraph) {
   EXPECT_EQ(decoded.num_shards, 3u);
   EXPECT_EQ(decoded.replica_id, 2u);
   EXPECT_EQ(decoded.base_epoch, 4u);
-  EXPECT_EQ(decoded.dtlp.partition.max_vertices, 8u);
-  EXPECT_EQ(decoded.dtlp.index.xi, 3u);
+  EXPECT_EQ(decoded.partition.max_vertices, 8u);
   Result<Graph> rebuilt = decoded.BuildGraph();
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   const Graph& got = rebuilt.value();
@@ -242,10 +240,22 @@ TEST(WireTest, LoadGraphRequestRoundTripsTheGraph) {
 TEST(WireTest, BuildGraphValidatesStructure) {
   Graph graph = MakeRandomConnected(10, 12, 1, 9, 11);
   LoadGraphRequest request =
-      LoadGraphRequest::FromGraph(graph, 0, 1, DtlpOptions{});
+      LoadGraphRequest::FromGraph(graph, 0, 1, PartitionOptions{});
   // Vertex id out of range must be rejected, not trusted.
   request.edge_u[0] = 99;
   EXPECT_FALSE(request.BuildGraph().ok());
+}
+
+TEST(WireTest, LoadGraphDecodeBoundsTheVertexCount) {
+  Graph graph = MakeRandomConnected(10, 12, 1, 9, 13);
+  LoadGraphRequest request =
+      LoadGraphRequest::FromGraph(graph, 0, 1, PartitionOptions{});
+  // A corrupt count must be rejected at decode, before BuildGraph would
+  // allocate adjacency for it.
+  request.num_vertices = uint64_t{1} << 40;
+  LoadGraphRequest decoded;
+  Status status = LoadGraphRequest::Decode(request.Encode(), &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
 TEST(WireTest, PartialsMessagesRoundTripBitExactDistances) {
@@ -305,12 +315,10 @@ TEST(WireTest, EpochAndPingMessagesRoundTrip) {
   EpochPrepareReply prepared;
   prepared.epoch = 9;
   prepared.updates_applied = 13;
-  prepared.subgraphs_touched = 4;
   EpochPrepareReply got_prepared;
   ASSERT_TRUE(
       EpochPrepareReply::Decode(prepared.Encode(), &got_prepared).ok());
   EXPECT_EQ(got_prepared.updates_applied, 13u);
-  EXPECT_EQ(got_prepared.subgraphs_touched, 4u);
 
   PingRequest ping;
   ping.nonce = 77;

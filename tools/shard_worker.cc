@@ -4,27 +4,25 @@
 //   shard_worker --socket PATH [--idle-timeout-ms N]
 //
 // The worker listens on a unix socket and speaks the src/rpc protocol. A
-// LoadGraph request ships the full graph + DTLP knobs + (shard_id,
-// num_shards, replica_id, base_epoch); the worker rebuilds the partition,
-// the DTLP, and the shard assignment with the same deterministic code the
-// coordinator runs, so its subgraph weight copies and level-1 indexes are
-// identical to the coordinator's by construction. The shipped weights may
-// be a mid-stream checkpoint: the worker then starts at base_epoch and the
-// coordinator replays the batches committed after it, which is how a
-// replica that died (or fell behind) catches back up. From then on it
-// serves the two requests that matter:
+// LoadGraph request ships the full graph at the coordinator's current
+// weights, the partition knobs, (shard_id, num_shards, replica_id) and the
+// epoch those weights belong to; the worker re-partitions the graph and
+// re-derives the shard assignment with the same deterministic code the
+// coordinator runs, so the subgraph weight copies it owns are identical to
+// the coordinator's by construction. That is all it keeps: the DTLP's
+// level-1 bounds and skeleton live only on the coordinator. A replica that
+// died or fell behind is caught back up by one more LoadGraph. From then
+// on it serves the two requests that matter:
 //
 //   Partials       the KSP-DG refine step for boundary pairs inside its
 //                  owned subgraphs (the per-query Yen work, moved off the
 //                  coordinator process);
-//   EpochPrepare   its slice of Algorithm 2 for one traffic batch, in one
-//                  round trip — the worker filters the full batch to its
-//                  owned subgraphs, applies them through Dtlp::ApplyUpdates
-//                  (the code the coordinator runs on its master), and
-//                  replies; there is no commit message. Prepares are
-//                  idempotent: re-sending the prepared epoch replays the
-//                  stored reply, so coordinator retries after a lost reply
-//                  are safe.
+//   EpochPrepare   its share of one traffic batch, in one round trip: the
+//                  worker writes the updates its subgraphs own into their
+//                  weight copies and replies with the count; there is no
+//                  commit message. Prepares are idempotent: re-sending the
+//                  prepared epoch replays the stored reply, so coordinator
+//                  retries after a lost reply are safe.
 //
 // The single-threaded loop (src/rpc/server.h) means requests cannot
 // interleave worker-side; cross-process ordering is the coordinator's
@@ -38,10 +36,10 @@
 #include <vector>
 
 #include "core/status.h"
-#include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "kspdg/partial_provider.h"
 #include "obs/metrics.h"
+#include "partition/partitioner.h"
 #include "partition/shard_assignment.h"
 #include "rpc/server.h"
 #include "rpc/wire.h"
@@ -78,37 +76,34 @@ class WorkerState {
     }
     Result<Graph> graph = request.BuildGraph();
     if (!graph.ok()) return graph.status();
-    // The DTLP keeps a pointer to the graph: pin it on the heap first, and
-    // only swap the old state out once the whole rebuild succeeded.
-    auto owned_graph = std::make_unique<Graph>(std::move(graph).value());
-    Result<std::unique_ptr<Dtlp>> dtlp =
-        Dtlp::Build(*owned_graph, request.dtlp);
-    if (!dtlp.ok()) return dtlp.status();
+    // The subgraphs copy topology and weights out of the graph, so the
+    // graph itself is dropped once they exist. The old state is only
+    // swapped out once the whole load succeeded.
+    Result<Partition> partition =
+        PartitionGraph(graph.value(), request.partition);
+    if (!partition.ok()) return partition.status();
     Result<ShardAssignment> assignment =
-        AssignShards(dtlp.value()->partition(), request.num_shards);
+        AssignShards(partition.value(), request.num_shards);
     if (!assignment.ok()) return assignment.status();
 
-    graph_ = std::move(owned_graph);
-    dtlp_ = std::move(dtlp).value();
-    assignment_ = std::move(assignment).value();
+    partition_ = std::make_unique<Partition>(std::move(partition).value());
     shard_id_ = request.shard_id;
     replica_id_ = request.replica_id;
-    owned_.assign(dtlp_->NumSubgraphs(), 0);
-    for (SubgraphId sgid : assignment_.subgraphs_of_shard[shard_id_]) {
+    owned_.assign(partition_->subgraphs.size(), 0);
+    for (SubgraphId sgid : assignment.value().subgraphs_of_shard[shard_id_]) {
       owned_[sgid] = 1;
     }
-    // The shipped weights are the coordinator's checkpoint: the worker
-    // starts at the checkpoint epoch and the coordinator replays only the
-    // batches committed after it (prepare still requires epoch_ + 1, so
-    // replay order is enforced the same way live batches are).
+    // The shipped weights are the coordinator's at base_epoch: the next
+    // prepare names base_epoch + 1.
     epoch_ = request.base_epoch;
     last_prepare_reply_.clear();
     graph_loads_.Increment();
     epoch_gauge_.Set(static_cast<int64_t>(epoch_));
 
     LoadGraphReply loaded;
-    loaded.subgraphs_owned = assignment_.subgraphs_of_shard[shard_id_].size();
-    loaded.vertices_owned = assignment_.vertices_of_shard[shard_id_];
+    loaded.subgraphs_owned =
+        assignment.value().subgraphs_of_shard[shard_id_].size();
+    loaded.vertices_owned = assignment.value().vertices_of_shard[shard_id_];
     *reply = loaded.Encode();
     return Status::OK();
   }
@@ -125,7 +120,6 @@ class WorkerState {
           " but the partials request names epoch " +
           std::to_string(request.epoch));
     }
-    const Partition& partition = dtlp_->partition();
     PartialsReply result;
     result.lists.reserve(request.sgids.size());
     for (SubgraphId sgid : request.sgids) {
@@ -134,7 +128,12 @@ class WorkerState {
             "partials request names subgraph " + std::to_string(sgid) +
             " which this worker does not own");
       }
-      const Subgraph& sg = partition.subgraphs[sgid];
+      const Subgraph& sg = partition_->subgraphs[sgid];
+      if (!sg.ContainsGlobal(request.x) || !sg.ContainsGlobal(request.y)) {
+        return Status::InvalidArgument(
+            "partials request names a vertex outside subgraph " +
+            std::to_string(sgid));
+      }
       result.lists.push_back(
           {sgid, LocalPartialProvider::PartialsInSubgraph(
                      sg, request.x, request.y, request.depth)});
@@ -158,26 +157,21 @@ class WorkerState {
       return Status::FailedPrecondition(
           "worker is at epoch " + std::to_string(epoch_) +
           " but the prepare names epoch " + std::to_string(request.epoch) +
-          " (worker needs a reload + replay)");
+          " (worker needs a reload)");
     }
-    KSPDG_RETURN_NOT_OK(ValidateWeightUpdates(*graph_, request.updates));
+    KSPDG_RETURN_NOT_OK(ValidateWeightUpdates(
+        partition_->subgraph_of_edge.size(), request.updates));
 
-    // Algorithm 2 on the owned slice: the same Dtlp::ApplyUpdates the
-    // coordinator runs on its master, fed the updates this shard owns.
-    const Partition& partition = dtlp_->partition();
-    std::vector<WeightUpdate> owned_updates;
-    for (const WeightUpdate& update : request.updates) {
-      graph_->SetWeight(update);  // keep the flat copy coherent
-      SubgraphId sgid = partition.subgraph_of_edge[update.edge];
-      if (sgid != kInvalidSubgraph && owned_[sgid] != 0) {
-        owned_updates.push_back(update);
-      }
-    }
-    const DtlpUpdateStats stats = dtlp_->ApplyUpdates(owned_updates);
+    // Absolute weights into the owned subgraphs' copies, in batch order.
     EpochPrepareReply applied;
     applied.epoch = request.epoch;
-    applied.updates_applied = stats.updates_applied;
-    applied.subgraphs_touched = stats.subgraphs_touched;
+    for (const WeightUpdate& update : request.updates) {
+      SubgraphId sgid = partition_->subgraph_of_edge[update.edge];
+      if (sgid != kInvalidSubgraph && owned_[sgid] != 0) {
+        partition_->subgraphs[sgid].ApplyUpdate(update);
+        ++applied.updates_applied;
+      }
+    }
     epoch_ = request.epoch;
     epoch_prepares_.Increment();
     updates_applied_.Increment(applied.updates_applied);
@@ -206,15 +200,15 @@ class WorkerState {
 
  private:
   Status RequireLoaded() const {
-    if (dtlp_ == nullptr) {
+    if (partition_ == nullptr) {
       return Status::FailedPrecondition("worker has no graph loaded");
     }
     return Status::OK();
   }
 
-  std::unique_ptr<Graph> graph_;
-  std::unique_ptr<Dtlp> dtlp_;
-  ShardAssignment assignment_;
+  /// The partition at the current weights; only the owned subgraphs'
+  /// weight copies are ever read or written.
+  std::unique_ptr<Partition> partition_;
   ShardId shard_id_ = kInvalidShard;
   uint32_t replica_id_ = 0;
   std::vector<char> owned_;

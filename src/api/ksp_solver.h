@@ -130,13 +130,12 @@ Result<std::unique_ptr<CandsIndex>> BuildCandsIndex(const Graph& graph,
                                                     const DtlpOptions& dtlp);
 
 /// Response shaping: turns a solver result into the kind-tagged payload.
-/// For kDiverseKsp this runs the §4 diversity pipeline (per-query EP-Index
-/// + MFP compaction + MinHash/LSH filter, src/mfp/diversity.h) over the k'
-/// candidates — a pure function of the candidate list, so answers stay
-/// byte-identical across deployments. `options` is the merged options the
-/// solve ran with (moved into the response; passed explicitly because the
-/// solve moves it through SolverInput first); the caller stamps epoch and
-/// solve_micros afterwards.
+/// For kDiverseKsp this runs the diversity filter (src/mfp/diversity.h)
+/// over the k' candidates — a pure function of the candidate list, so
+/// answers stay byte-identical across deployments. `options` is the merged
+/// options the solve ran with (moved into the response; passed explicitly
+/// because the solve moves it through SolverInput first); the caller stamps
+/// epoch and solve_micros afterwards.
 RouteResponse FinishRouteResponse(QueryKind kind, uint32_t requested_k,
                                   RoutingOptions options, bool directed,
                                   KspQueryResult solved);

@@ -57,22 +57,15 @@ const char* QueryKindName(QueryKind kind);
 /// Service-level option set; every knob can be overridden per request.
 /// Folds the former KspDgOptions engine knobs into the public API surface.
 struct RoutingOptions {
-  /// Number of shortest loopless paths to return.
+  /// Number of shortest loopless paths to return (at most kMaxK).
   uint32_t k = 2;
   /// Solver backend answering the query (a SolverRegistry name).
   std::string backend = kBackendKspDg;
   /// Hard cap on KSP-DG filter/refine iterations (safety valve; §5.5 argues
   /// ~k iterations in practice). Ignored by the baseline backends.
   uint32_t max_iterations = 1000;
-  /// §5.2 optimisation: cache partial k-shortest paths across iterations of
-  /// one query. Ignored by the baseline backends.
-  bool reuse_partials = true;
-  /// When joins reject non-simple combinations and the candidate list comes
-  /// up short, partial lists are re-fetched with doubled depth up to this
-  /// many times (0 reproduces the paper's plain Algorithm 4).
-  uint32_t join_refetch_rounds = 2;
-  /// kDiverseKsp knobs: θ, the over-fetch factor, and the MinHash/LSH
-  /// parameters of the per-query §4 pipeline. Ignored by the other kinds.
+  /// kDiverseKsp knobs: θ and the over-fetch factor. Ignored by the other
+  /// kinds.
   DiversityOptions diversity;
 
   /// Checks the invariants every solver relies on.
@@ -88,8 +81,6 @@ struct RoutingOverrides {
   std::optional<uint32_t> k;
   std::optional<std::string> backend;
   std::optional<uint32_t> max_iterations;
-  std::optional<bool> reuse_partials;
-  std::optional<uint32_t> join_refetch_rounds;
   /// kDiverseKsp: shadows RoutingOptions::diversity.theta / .overfetch.
   std::optional<double> diversity_theta;
   std::optional<uint32_t> diversity_overfetch;

@@ -77,8 +77,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
  public:
   ShardPartialProvider(const RoutingService& service, bool cache)
       : service_(service),
-        max_cached_pairs_(cache ? kPartialCachePairs : 0),
-        caches_(max_cached_pairs_ != 0 ? service.shards_.size() : 0),
+        caches_(cache ? service.shards_.size() : 0),
         shard_touched_(service.shards_.size(), 0) {}
 
   /// Binds the epoch the caller pinned: every ComputePartials call until
@@ -86,12 +85,10 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
   void BindEpoch(uint64_t epoch) { epoch_ = epoch; }
 
   /// Resets the per-query state (touch tracking and error; caches
-  /// persist). A query that opted out of partial reuse
-  /// (RoutingOptions::reuse_partials) neither reads nor fills the caches.
-  void BeginQuery(bool reuse_partials) {
+  /// persist).
+  void BeginQuery() {
     std::fill(shard_touched_.begin(), shard_touched_.end(), 0);
     error_ = Status::OK();
-    use_caches_ = reuse_partials && !caches_.empty();
   }
 
   /// First fetch failure of the current query (OK if none).
@@ -128,7 +125,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
     for (const auto& [shard_id, owned] : groups) {
       const Shard& shard = *service_.shards_[shard_id];
       shard_touched_[shard_id] = 1;
-      ShardCache* cache = use_caches_ ? &caches_[shard_id] : nullptr;
+      ShardCache* cache = caches_.empty() ? nullptr : &caches_[shard_id];
       if (cache != nullptr) {
         // Stable under the snapshot hold, which excludes writers.
         const uint64_t weights_epoch =
@@ -172,7 +169,7 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
       // otherwise accumulate lists for every boundary pair it ever touched.
       // Past the cap, new pairs are computed but not cached (correctness
       // never depends on a hit).
-      if (cache->entries.size() < max_cached_pairs_ ||
+      if (cache->entries.size() < kPartialCachePairs ||
           cache->entries.count(key) != 0) {
         CacheEntry entry;
         entry.depth = depth;
@@ -233,11 +230,9 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
   }
 
   const RoutingService& service_;
-  /// kPartialCachePairs, or 0 for a non-caching provider.
-  const size_t max_cached_pairs_;
   uint64_t epoch_ = 0;
+  /// One cache per shard; empty for a non-caching provider.
   std::vector<ShardCache> caches_;
-  bool use_caches_ = false;
   std::vector<char> shard_touched_;
   Status error_;
 };
@@ -395,7 +390,7 @@ Result<RouteResponse> RoutingService::SolvePrepared(
   // Each request is solved exactly once, so its merged options move
   // through the input and into the response.
   input.options = std::move(route.merged);
-  provider.BeginQuery(input.options.reuse_partials);
+  provider.BeginQuery();
   WallTimer timer;
   Result<KspQueryResult> solved = route.solver->Solve(input, scratch);
   if (!provider.error().ok()) {

@@ -33,6 +33,11 @@ const char* QueryKindName(QueryKind kind) {
 
 Status RoutingOptions::Validate() const {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (k > kMaxK) {
+    return Status::InvalidArgument("k = " + std::to_string(k) +
+                                   " exceeds the cap of " +
+                                   std::to_string(kMaxK));
+  }
   if (backend.empty()) return Status::InvalidArgument("backend must be named");
   if (max_iterations == 0) {
     return Status::InvalidArgument("max_iterations must be >= 1");
@@ -43,11 +48,6 @@ Status RoutingOptions::Validate() const {
   if (diversity.overfetch == 0) {
     return Status::InvalidArgument("diversity overfetch must be >= 1");
   }
-  if (diversity.lsh.num_hashes == 0 || diversity.lsh.num_bands == 0 ||
-      diversity.lsh.num_hashes % diversity.lsh.num_bands != 0) {
-    return Status::InvalidArgument(
-        "diversity LSH needs num_hashes >= 1 divisible by num_bands >= 1");
-  }
   return Status::OK();
 }
 
@@ -55,8 +55,6 @@ KspDgOptions RoutingOptions::ToEngineOptions() const {
   KspDgOptions engine;
   engine.k = k;
   engine.max_iterations = max_iterations;
-  engine.reuse_partials = reuse_partials;
-  engine.join_refetch_rounds = join_refetch_rounds;
   return engine;
 }
 
@@ -94,13 +92,13 @@ Status PrepareRoutingQuery(const SolverRegistry& registry,
     case QueryKind::kDiverseKsp: {
       uint64_t k_prime = static_cast<uint64_t>(out->merged.k) *
                          static_cast<uint64_t>(out->merged.diversity.overfetch);
-      // 2^20 candidates is far past any sensible diversity over-fetch and
-      // keeps k' in uint32 range.
-      if (k_prime > (uint64_t{1} << 20)) {
+      // Checked here, before the narrowing below: the product may not fit
+      // uint32 (Validate caps k' like any k).
+      if (k_prime > kMaxK) {
         return Status::InvalidArgument(
             std::string(QueryKindName(request.kind)) +
             " over-fetch k * overfetch = " + std::to_string(k_prime) +
-            " exceeds the 2^20 cap");
+            " exceeds the cap of " + std::to_string(kMaxK));
       }
       out->requested_k = out->merged.k;
       out->merged.k = static_cast<uint32_t>(k_prime);
@@ -163,12 +161,6 @@ RoutingOptions MergeOptions(const RoutingOptions& defaults,
   if (overrides.backend.has_value()) merged.backend = *overrides.backend;
   if (overrides.max_iterations.has_value()) {
     merged.max_iterations = *overrides.max_iterations;
-  }
-  if (overrides.reuse_partials.has_value()) {
-    merged.reuse_partials = *overrides.reuse_partials;
-  }
-  if (overrides.join_refetch_rounds.has_value()) {
-    merged.join_refetch_rounds = *overrides.join_refetch_rounds;
   }
   if (overrides.diversity_theta.has_value()) {
     merged.diversity.theta = *overrides.diversity_theta;

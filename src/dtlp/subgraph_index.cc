@@ -10,6 +10,10 @@ namespace kspdg {
 
 namespace {
 
+/// Safety cap on Yen pulls while collecting ξ distinct vfrag counts: equal-
+/// vfrag paths count as one, and ties can be numerous on uniform graphs.
+uint32_t MaxYenPulls(uint32_t xi) { return 8 * xi + 16; }
+
 /// Materialises edge ids / traversal directions / vfrag count / current
 /// distance for a route found in the local graph.
 void FillPathDetails(const Graph& local, const std::vector<VertexId>& verts,
@@ -43,7 +47,7 @@ std::vector<uint32_t> SubgraphIndex::CollectBoundingPaths(
   std::vector<uint32_t> out;
   VfragCount last_phi = 0;
   uint32_t pulls = 0;
-  const uint32_t max_pulls = options_.EffectiveMaxPulls();
+  const uint32_t max_pulls = MaxYenPulls(options_.xi);
   while (out.size() < options_.xi && pulls++ < max_pulls) {
     std::optional<Path> p = yen.NextPath();
     if (!p.has_value()) break;
@@ -175,7 +179,7 @@ Weight SubgraphIndex::LowerBoundBetween(VertexId src_local,
   VfragCount last_phi = 0;
   uint32_t distinct = 0;
   uint32_t pulls = 0;
-  const uint32_t max_pulls = options_.EffectiveMaxPulls();
+  const uint32_t max_pulls = MaxYenPulls(options_.xi);
   while (distinct < options_.xi && pulls++ < max_pulls) {
     std::optional<Path> p = yen.NextPath();
     if (!p.has_value()) break;

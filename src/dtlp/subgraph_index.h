@@ -24,13 +24,6 @@ namespace kspdg {
 struct DtlpIndexOptions {
   /// ξ: maximum number of bounding paths (distinct vfrag counts) per pair.
   uint32_t xi = 5;
-  /// Safety cap on Yen pulls while collecting distinct vfrag counts (equal-
-  /// vfrag paths count as one, and ties can be numerous on uniform graphs).
-  uint32_t max_yen_pulls = 0;  // 0 = default: 8*xi + 16
-
-  uint32_t EffectiveMaxPulls() const {
-    return max_yen_pulls != 0 ? max_yen_pulls : 8 * xi + 16;
-  }
 };
 
 /// One bounding path (all ids are subgraph-local).

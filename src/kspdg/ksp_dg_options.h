@@ -12,18 +12,24 @@
 
 namespace kspdg {
 
+/// Largest k any query may ask for, the over-fetched k' of kDiverseKsp
+/// included: far past any sensible route count, and it keeps every partial
+/// depth below in range.
+inline constexpr uint32_t kMaxK = uint32_t{1} << 20;
+/// When joins reject non-simple combinations and the candidate list comes
+/// up short, partial lists are re-fetched with doubled depth up to this many
+/// times (0 would reproduce the paper's plain Algorithm 4).
+inline constexpr uint32_t kJoinRefetchRounds = 2;
+/// Deepest partial-KSP request Algorithm 4 can make: the depth starts at k
+/// and doubles once per refetch round.
+inline constexpr uint64_t kMaxPartialDepth =
+    uint64_t{kMaxK} << kJoinRefetchRounds;
+
 struct KspDgOptions {
   uint32_t k = 2;
   /// Hard cap on filter/refine iterations (safety valve; §5.5 argues ~k
   /// iterations in practice).
   uint32_t max_iterations = 1000;
-  /// §5.2 optimisation: cache partial k-shortest paths across iterations of
-  /// one query.
-  bool reuse_partials = true;
-  /// When joins reject non-simple combinations and the candidate list comes
-  /// up short, partial lists are re-fetched with doubled depth up to this
-  /// many times (0 reproduces the paper's plain Algorithm 4).
-  uint32_t join_refetch_rounds = 2;
 };
 
 struct KspDgQueryStats {

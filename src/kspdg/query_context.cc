@@ -146,7 +146,6 @@ std::vector<Path> QueryContext::Join(const std::vector<Path>& prefixes,
 
 std::vector<Path> QueryContext::CandidateKsp(
     const std::vector<SkeletonId>& reference) {
-  if (!options_.reuse_partials) cache_.entries.clear();
   const size_t k = options_.k;
   // Translate the reference path to global vertex ids.
   std::vector<VertexId> refs;
@@ -176,7 +175,7 @@ std::vector<Path> QueryContext::CandidateKsp(
     }
     bool short_due_to_rejection = c.size() < k && rejected > 0;
     if (!short_due_to_rejection || !any_exhaustible ||
-        round >= options_.join_refetch_rounds) {
+        round >= kJoinRefetchRounds) {
       if (c.size() > k) c.resize(k);
       stats_.candidates_generated += c.size();
       return c;

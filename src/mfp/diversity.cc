@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "mfp/mfp_tree.h"
-
 namespace kspdg {
 
 namespace {
@@ -50,15 +48,6 @@ double SortedJaccard(const std::vector<uint64_t>& a,
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-/// Fraction of equal MinHash components — the §4.1 similarity estimate.
-double SignatureSimilarity(const std::vector<uint64_t>& a,
-                           const std::vector<uint64_t>& b) {
-  if (a.empty()) return 0;
-  size_t agree = 0;
-  for (size_t i = 0; i < a.size(); ++i) agree += a[i] == b[i];
-  return static_cast<double>(agree) / static_cast<double>(a.size());
-}
-
 }  // namespace
 
 double RouteEdgeJaccard(const Path& a, const Path& b, bool directed) {
@@ -72,72 +61,36 @@ DiverseStats SelectDiversePaths(const std::vector<Path>& candidates,
   DiverseStats stats;
   stats.candidates = static_cast<uint32_t>(candidates.size());
   kept->clear();
-  if (candidates.empty()) return stats;
-
-  // Dense edge universe of the candidate set: distinct edge keys, sorted so
-  // the dense ids are a pure function of the candidate list.
-  std::vector<std::vector<uint64_t>> edge_keys(candidates.size());
-  std::vector<uint64_t> universe;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    edge_keys[c] = EdgeKeysOf(candidates[c], directed);
-    universe.insert(universe.end(), edge_keys[c].begin(), edge_keys[c].end());
-  }
-  std::sort(universe.begin(), universe.end());
-  universe.erase(std::unique(universe.begin(), universe.end()),
-                 universe.end());
-  auto dense_of = [&universe](uint64_t key) {
-    return static_cast<uint32_t>(
-        std::lower_bound(universe.begin(), universe.end(), key) -
-        universe.begin());
-  };
-  // Per-path sorted dense edge sets (rows of the per-query PE-Matrix).
-  std::vector<std::vector<uint32_t>> path_edges(candidates.size());
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    path_edges[c].reserve(edge_keys[c].size());
-    for (uint64_t key : edge_keys[c]) path_edges[c].push_back(dense_of(key));
-    // edge_keys[c] is sorted and dense_of is monotone, so this stays sorted.
-  }
-
-  // MinHash signatures per candidate path: the cheap screen of the greedy
-  // filter below.
-  std::vector<std::vector<uint64_t>> signatures =
-      ComputeMinHashSignatures(path_edges, options.lsh);
 
   // Greedy selection in KSP order: candidates arrive ascending by distance
   // (deterministically tie-broken by the solvers), so the kept set is the
   // lexicographically-first pairwise-dissimilar subset — identical on every
-  // deployment that produced the identical candidate list. Exact Jaccard is
-  // authoritative for every accept/reject (an estimate-only rejection could
-  // deterministically drop a route whose true similarity is within θ); the
-  // MinHash estimate rides along as the §4.1 telemetry — how often the
-  // signature screen agrees with the exact decision.
-  std::vector<size_t> kept_idx;
-  for (size_t c = 0; c < candidates.size() && kept_idx.size() < k; ++c) {
+  // deployment that produced the identical candidate list. Exact Jaccard
+  // decides every accept/reject.
+  std::vector<std::vector<uint64_t>> kept_keys;
+  for (size_t c = 0; c < candidates.size() && kept->size() < k; ++c) {
+    std::vector<uint64_t> keys = EdgeKeysOf(candidates[c], directed);
     bool accept = true;
-    for (size_t q : kept_idx) {
+    for (const std::vector<uint64_t>& other : kept_keys) {
       ++stats.exact_checks;
-      if (SortedJaccard(edge_keys[c], edge_keys[q]) > options.theta) {
-        if (SignatureSimilarity(signatures[c], signatures[q]) >
-            options.theta) {
-          ++stats.signature_rejections;  // the screen flagged this pair too
-        }
+      if (SortedJaccard(keys, other) > options.theta) {
         accept = false;
         break;
       }
     }
-    if (accept) kept_idx.push_back(c);
+    if (!accept) continue;
+    kept->push_back(candidates[c]);
+    kept_keys.push_back(std::move(keys));
   }
-  kept->reserve(kept_idx.size());
-  for (size_t c : kept_idx) kept->push_back(candidates[c]);
-  stats.kept = static_cast<uint32_t>(kept_idx.size());
+  stats.kept = static_cast<uint32_t>(kept->size());
   stats.filtered = stats.candidates - stats.kept;
 
   // Exact pairwise similarity of the kept set (the reported guarantee).
   size_t pairs = 0;
   double sum = 0;
-  for (size_t i = 0; i < kept_idx.size(); ++i) {
-    for (size_t j = i + 1; j < kept_idx.size(); ++j) {
-      double s = SortedJaccard(edge_keys[kept_idx[i]], edge_keys[kept_idx[j]]);
+  for (size_t i = 0; i < kept_keys.size(); ++i) {
+    for (size_t j = i + 1; j < kept_keys.size(); ++j) {
+      double s = SortedJaccard(kept_keys[i], kept_keys[j]);
       sum += s;
       stats.max_pairwise_similarity =
           std::max(stats.max_pairwise_similarity, s);
@@ -146,56 +99,6 @@ DiverseStats SelectDiversePaths(const std::vector<Path>& candidates,
   }
   if (pairs > 0) sum /= static_cast<double>(pairs);
   stats.mean_pairwise_similarity = sum;
-
-  // Per-query EP-Index over the candidate set (§4): columns are edges, each
-  // holding the candidate paths crossing it; LSH groups similar columns and
-  // one MFP-tree per group compacts the duplicated lists.
-  std::vector<std::vector<uint32_t>> columns(universe.size());
-  std::vector<uint32_t> frequency(candidates.size(), 0);
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    for (uint32_t e : path_edges[c]) {
-      columns[e].push_back(static_cast<uint32_t>(c));
-      ++frequency[c];
-    }
-  }
-  for (const std::vector<uint32_t>& column : columns) {
-    stats.ep_raw_entries += column.size();
-  }
-  std::vector<std::vector<uint64_t>> column_signatures =
-      ComputeMinHashSignatures(columns, options.lsh);
-  std::vector<uint32_t> group_of_edge =
-      LshGroupColumns(column_signatures, options.lsh);
-  uint32_t num_groups = 0;
-  for (uint32_t gid : group_of_edge) num_groups = std::max(num_groups, gid + 1);
-  stats.lsh_groups = num_groups;
-  std::vector<MfpTree> trees(num_groups);
-  // Insert edges group by group, denser path sets first (the §4.2 insertion
-  // order), path ids within a set by global frequency descending.
-  std::vector<uint32_t> order(universe.size());
-  for (uint32_t e = 0; e < order.size(); ++e) order[e] = e;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (group_of_edge[a] != group_of_edge[b]) {
-      return group_of_edge[a] < group_of_edge[b];
-    }
-    if (columns[a].size() != columns[b].size()) {
-      return columns[a].size() > columns[b].size();
-    }
-    return a < b;
-  });
-  for (uint32_t e : order) {
-    std::vector<uint32_t> sorted = columns[e];
-    std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
-      if (frequency[a] != frequency[b]) return frequency[a] > frequency[b];
-      return a < b;
-    });
-    trees[group_of_edge[e]].InsertEdge(e, sorted);
-  }
-  for (const MfpTree& tree : trees) stats.ep_path_nodes += tree.NumPathNodes();
-  stats.mfp_compression_ratio =
-      stats.ep_raw_entries > 0
-          ? static_cast<double>(stats.ep_path_nodes) /
-                static_cast<double>(stats.ep_raw_entries)
-          : 0;
   return stats;
 }
 

@@ -1,17 +1,10 @@
-// Diversity-aware KSP selection (the kDiverseKsp query kind): the §4
-// machinery — per-query EP-Index, MFP-tree compaction, MinHash/LSH — applied
-// on the query path.
+// Diversity-aware KSP selection (the kDiverseKsp query kind).
 //
 // The facade over-fetches k' = k * overfetch candidate paths through the
 // normal solver path, then SelectDiversePaths greedily keeps candidates in
 // KSP order, rejecting any candidate whose exact edge-set Jaccard
 // similarity with an already-kept route exceeds θ — so the kept set is
-// precisely the greedy pairwise-dissimilar subset (never over-filtered by
-// estimation noise). MinHash signatures of the same edge sets are computed
-// alongside and reported as the §4.1 screen telemetry (how often the
-// signature estimate agrees with the exact rejection). The per-query
-// EP-Index (edge -> candidate paths crossing it) is LSH-grouped and
-// compacted into MFP-trees, yielding the §4 compression ratio per query.
+// precisely the greedy pairwise-dissimilar subset.
 //
 // Everything here is a pure, deterministic function of (candidates, k,
 // options): no clocks, no global state — which is what keeps sharded
@@ -19,12 +12,10 @@
 #ifndef KSPDG_MFP_DIVERSITY_H_
 #define KSPDG_MFP_DIVERSITY_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ksp/path.h"
-#include "mfp/minhash_lsh.h"
 
 namespace kspdg {
 
@@ -39,9 +30,6 @@ struct DiversityOptions {
   /// Over-fetch factor: the solver is asked for k' = k * overfetch
   /// candidates before filtering down to k pairwise-dissimilar ones.
   uint32_t overfetch = 4;
-  /// MinHash/LSH knobs shared by the similarity screen and the per-query
-  /// EP-Index grouping.
-  LshOptions lsh;
 };
 
 /// Outcome of one diversity selection; the kind-specific payload of a
@@ -56,22 +44,10 @@ struct DiverseStats {
   /// Exact Jaccard evaluations performed by the greedy filter (one per
   /// (candidate, kept) pair examined).
   uint32_t exact_checks = 0;
-  /// Exact rejections the MinHash signature screen had also flagged
-  /// (estimate > θ): screen-agreement telemetry, not a decision count.
-  uint32_t signature_rejections = 0;
   /// Exact pairwise Jaccard over the kept set (0 when < 2 routes kept).
   /// max_pairwise_similarity <= θ by construction.
   double mean_pairwise_similarity = 0;
   double max_pairwise_similarity = 0;
-  /// Per-query EP-Index: (edge, path) incidences before MFP compaction ...
-  size_t ep_raw_entries = 0;
-  /// ... and path nodes kept by the MFP-trees (<= ep_raw_entries).
-  size_t ep_path_nodes = 0;
-  /// ep_path_nodes / ep_raw_entries (< 1 means the trees compressed).
-  double mfp_compression_ratio = 0;
-  /// LSH groups the candidate-set edges were compacted into (one MFP-tree
-  /// per group).
-  uint32_t lsh_groups = 0;
 };
 
 /// Greedily selects <= k pairwise-dissimilar routes from `candidates`

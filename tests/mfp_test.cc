@@ -1,184 +1,18 @@
-// Direct units for the §4 machinery (src/mfp): MfpTree insert/recover
-// round-trips and the prefix-compaction bound, seeded MinHash/LSH banding
-// behaviour (similar columns collide, dissimilar ones do not), and the
-// diversity selection pipeline built on top of them.
+// Direct units for the diversity selection of the kDiverseKsp pipeline
+// (src/mfp): exact edge Jaccard, greedy θ filtering in candidate order,
+// determinism, and edge cases.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <numeric>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
 #include "ksp/path.h"
 #include "mfp/diversity.h"
-#include "mfp/mfp_tree.h"
-#include "mfp/minhash_lsh.h"
 
 namespace kspdg {
 namespace {
-
-// ---------------------------------------------------------------------------
-// MfpTree.
-// ---------------------------------------------------------------------------
-
-TEST(MfpTreeTest, RoundTripRecoversInsertedSequences) {
-  MfpTree tree;
-  const std::vector<std::vector<uint32_t>> lists = {
-      {5, 3, 9}, {5, 3}, {7}, {5, 3, 9, 11}, {2, 5}};
-  for (EdgeId e = 0; e < lists.size(); ++e) tree.InsertEdge(e, lists[e]);
-  for (EdgeId e = 0; e < lists.size(); ++e) {
-    EXPECT_TRUE(tree.ContainsEdge(e));
-    EXPECT_EQ(tree.PathsOfEdge(e), lists[e]) << "edge " << e;
-  }
-  EXPECT_FALSE(tree.ContainsEdge(99));
-  EXPECT_TRUE(tree.PathsOfEdge(99).empty());
-}
-
-TEST(MfpTreeTest, PrefixCompactionNeverExceedsRawEntries) {
-  // The compression metric of §4.2: the raw EP-Index stores sum(|P(e)|)
-  // path references; the tree stores NumPathNodes() <= that, with equality
-  // only when no two lists share a usable prefix.
-  MfpTree tree;
-  const std::vector<std::vector<uint32_t>> lists = {
-      {1, 2, 3, 4}, {1, 2, 3}, {1, 2, 5}, {1, 2, 3, 4, 6}};
-  size_t raw = 0;
-  for (EdgeId e = 0; e < lists.size(); ++e) {
-    tree.InsertEdge(e, lists[e]);
-    raw += lists[e].size();
-  }
-  EXPECT_LE(tree.NumPathNodes(), raw);
-  // {1,2,3,4} contributes 4 nodes; {1,2,3} reuses 3; {1,2,5} reuses 2 and
-  // adds one; {1,2,3,4,6} reuses 4 and adds one: 6 path nodes total.
-  EXPECT_EQ(tree.NumPathNodes(), 6u);
-  for (EdgeId e = 0; e < lists.size(); ++e) {
-    EXPECT_EQ(tree.PathsOfEdge(e), lists[e]) << "edge " << e;
-  }
-}
-
-TEST(MfpTreeTest, PrefixMayAttachMidTree) {
-  // Unlike a classic FP-tree, the longest matching prefix may start at ANY
-  // node: {2, 3} attaches at the interior node for 2 of the {1, 2, 3}
-  // chain, adding zero new path nodes.
-  MfpTree tree;
-  tree.InsertEdge(0, {1, 2, 3});
-  ASSERT_EQ(tree.NumPathNodes(), 3u);
-  tree.InsertEdge(1, {2, 3});
-  EXPECT_EQ(tree.NumPathNodes(), 3u);
-  EXPECT_EQ(tree.PathsOfEdge(1), (std::vector<uint32_t>{2, 3}));
-  EXPECT_EQ(tree.PathsOfEdge(0), (std::vector<uint32_t>{1, 2, 3}));
-}
-
-TEST(MfpTreeTest, SeededRandomisedRoundTrip) {
-  // Many overlapping frequency-sorted lists: every recover must be exact
-  // and the compaction bound must hold.
-  uint64_t state = 2024;
-  for (int trial = 0; trial < 10; ++trial) {
-    MfpTree tree;
-    std::vector<std::vector<uint32_t>> lists;
-    size_t raw = 0;
-    const size_t num_edges = 1 + SplitMix64(state) % 12;
-    for (EdgeId e = 0; e < num_edges; ++e) {
-      // Draw a strictly-descending "frequency order" list from a small
-      // universe so prefixes overlap often.
-      std::vector<uint32_t> list;
-      for (uint32_t item = 0; item < 10; ++item) {
-        if (SplitMix64(state) % 3 == 0) list.push_back(item);
-      }
-      if (list.empty()) list.push_back(static_cast<uint32_t>(e) % 10);
-      lists.push_back(list);
-      raw += list.size();
-      tree.InsertEdge(e, list);
-    }
-    for (EdgeId e = 0; e < num_edges; ++e) {
-      EXPECT_EQ(tree.PathsOfEdge(e), lists[e])
-          << "trial " << trial << " edge " << e;
-    }
-    EXPECT_LE(tree.NumPathNodes(), raw) << "trial " << trial;
-    EXPECT_GT(tree.MemoryBytes(), 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// MinHash / LSH banding.
-// ---------------------------------------------------------------------------
-
-TEST(MinHashLshTest, IdenticalSetsProduceIdenticalSignatures) {
-  LshOptions options;
-  options.num_hashes = 16;
-  options.num_bands = 4;
-  options.seed = 7;
-  std::vector<std::vector<uint32_t>> columns = {
-      {1, 2, 3, 4}, {1, 2, 3, 4}, {10, 11, 12, 13}};
-  std::vector<std::vector<uint64_t>> sigs =
-      ComputeMinHashSignatures(columns, options);
-  ASSERT_EQ(sigs.size(), 3u);
-  EXPECT_EQ(sigs[0], sigs[1]);
-  EXPECT_NE(sigs[0], sigs[2]);
-}
-
-TEST(MinHashLshTest, BandingGroupsSimilarColumnsAndSeparatesDissimilar) {
-  // Two near-identical columns must share an LSH bucket in some band
-  // (identical sets give identical band keys, so collision is guaranteed);
-  // fully disjoint columns land apart under this seed — the banding
-  // behaviour §4.1 relies on, pinned deterministically.
-  LshOptions options;
-  options.num_hashes = 16;
-  options.num_bands = 4;
-  options.seed = 1234;
-  std::vector<std::vector<uint32_t>> columns = {
-      {1, 2, 3, 4, 5, 6},     // A
-      {1, 2, 3, 4, 5, 6},     // identical to A: must collide
-      {100, 200, 300, 400},   // disjoint from A
-      {100, 200, 300, 400},   // identical to the disjoint set
-  };
-  std::vector<uint32_t> groups =
-      LshGroupColumns(ComputeMinHashSignatures(columns, options), options);
-  ASSERT_EQ(groups.size(), 4u);
-  EXPECT_EQ(groups[0], groups[1]);
-  EXPECT_EQ(groups[2], groups[3]);
-  EXPECT_NE(groups[0], groups[2]);
-}
-
-TEST(MinHashLshTest, SignatureAgreementTracksJaccard) {
-  // With enough hash functions the fraction of agreeing MinHash components
-  // approximates Jaccard: near-duplicate sets agree on most components,
-  // disjoint sets on almost none (deterministic under the fixed seed).
-  LshOptions options;
-  options.num_hashes = 128;
-  options.num_bands = 16;
-  options.seed = 99;
-  std::vector<uint32_t> base(40);
-  std::iota(base.begin(), base.end(), 0);
-  std::vector<uint32_t> similar = base;  // drop 2, add 2 => Jaccard ~ 0.9
-  similar[0] = 1000;
-  similar[1] = 1001;
-  std::sort(similar.begin(), similar.end());
-  std::vector<uint32_t> disjoint(40);
-  std::iota(disjoint.begin(), disjoint.end(), 500);
-  std::vector<std::vector<uint64_t>> sigs = ComputeMinHashSignatures(
-      {base, similar, disjoint}, options);
-  auto agreement = [&](size_t a, size_t b) {
-    size_t agree = 0;
-    for (size_t i = 0; i < options.num_hashes; ++i) {
-      agree += sigs[a][i] == sigs[b][i];
-    }
-    return static_cast<double>(agree) / options.num_hashes;
-  };
-  EXPECT_GT(agreement(0, 1), 0.7);
-  EXPECT_LT(agreement(0, 2), 0.2);
-}
-
-TEST(MinHashLshTest, ExactJaccardBasics) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2, 3}, {1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2}, {3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2, 3, 4}, {3, 4, 5, 6}), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// Diversity selection (the kDiverseKsp pipeline).
-// ---------------------------------------------------------------------------
 
 Path MakePath(std::vector<VertexId> vertices, Weight distance) {
   Path p;
@@ -262,10 +96,7 @@ TEST(DiversityTest, SelectionIsDeterministicAndPure) {
     EXPECT_EQ(kept_a[i].distance, kept_b[i].distance);
   }
   EXPECT_EQ(a.kept, b.kept);
-  EXPECT_EQ(a.signature_rejections, b.signature_rejections);
   EXPECT_EQ(a.exact_checks, b.exact_checks);
-  EXPECT_EQ(a.ep_raw_entries, b.ep_raw_entries);
-  EXPECT_EQ(a.ep_path_nodes, b.ep_path_nodes);
   // Every kept route is one of the candidates, in candidate order.
   size_t cursor = 0;
   for (const Path& p : kept_a) {
@@ -276,25 +107,6 @@ TEST(DiversityTest, SelectionIsDeterministicAndPure) {
     ASSERT_LT(cursor, candidates.size()) << "kept route not a candidate";
     ++cursor;
   }
-}
-
-TEST(DiversityTest, EpIndexCompressionStatsAreConsistent) {
-  // Heavily overlapping candidates: the per-query EP-Index must report
-  // raw incidences >= MFP path nodes (the trees can only compact).
-  std::vector<Path> candidates = {
-      MakePath({0, 1, 2, 3, 4}, 4.0), MakePath({0, 1, 2, 3, 5, 4}, 4.5),
-      MakePath({0, 1, 2, 6, 4}, 5.0), MakePath({0, 7, 2, 3, 4}, 5.5)};
-  DiversityOptions options;
-  options.theta = 1.0;  // keep everything; we only probe the EP stats
-  std::vector<Path> kept;
-  DiverseStats stats =
-      SelectDiversePaths(candidates, 4, /*directed=*/false, options, &kept);
-  EXPECT_EQ(stats.kept, 4u);
-  EXPECT_GT(stats.ep_raw_entries, 0u);
-  EXPECT_LE(stats.ep_path_nodes, stats.ep_raw_entries);
-  EXPECT_GT(stats.lsh_groups, 0u);
-  EXPECT_GT(stats.mfp_compression_ratio, 0.0);
-  EXPECT_LE(stats.mfp_compression_ratio, 1.0);
 }
 
 TEST(DiversityTest, EdgeCases) {

@@ -635,32 +635,43 @@ TEST(ShardWorkerTest, PartialsNamingAVertexOutsideTheSubgraphAreRejected) {
                         MessageType::kLoadGraphReply, &reply)
                   .ok());
 
-  auto partials = [&](VertexId x, VertexId y) {
+  auto partials = [&](VertexId x, VertexId y, uint64_t depth = 2) {
     PartialsRequest request;
     request.x = x;
     request.y = y;
-    request.depth = 2;
+    request.depth = depth;
     request.sgids = {0};
     return client.Call(MessageType::kPartialsRequest, request.Encode(),
                        MessageType::kPartialsReply, &reply);
+  };
+  auto ping = [&](uint64_t nonce) {
+    PingRequest request;
+    request.nonce = nonce;
+    Status status = client.Call(MessageType::kPingRequest, request.Encode(),
+                                MessageType::kPingReply, &reply);
+    ASSERT_TRUE(status.ok()) << "worker stopped answering: "
+                             << status.ToString();
+    PingReply pong;
+    ASSERT_TRUE(PingReply::Decode(reply, &pong).ok());
+    EXPECT_EQ(pong.nonce, nonce);
+    EXPECT_EQ(pong.epoch, 0u);
   };
   Status status = partials(inside, outside);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   status = partials(VertexId{1} << 30, inside);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  // Depths the coordinator's schedule never sends: 0, and one far past
+  // kMaxPartialDepth that Yen could not even reserve a list for.
+  for (uint64_t depth : {uint64_t{0}, uint64_t{1} << 62}) {
+    status = partials(inside, also_inside, depth);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "depth " << depth << ": " << status.ToString();
+    ping(depth + 1);
+  }
   // A well-formed request is still answered.
   status = partials(inside, also_inside);
   EXPECT_TRUE(status.ok()) << status.ToString();
-
-  PingRequest ping;
-  ping.nonce = 5;
-  status = client.Call(MessageType::kPingRequest, ping.Encode(),
-                       MessageType::kPingReply, &reply);
-  ASSERT_TRUE(status.ok()) << "worker stopped answering: " << status.ToString();
-  PingReply pong;
-  ASSERT_TRUE(PingReply::Decode(reply, &pong).ok());
-  EXPECT_EQ(pong.nonce, 5u);
-  EXPECT_EQ(pong.epoch, 0u);
+  ping(5);
 }
 
 }  // namespace

@@ -363,8 +363,6 @@ TEST(ShardedRoutingServiceTest, DiverseAndShortestPathParityWithUnsharded) {
         EXPECT_EQ(got.value().diverse->kept, want.value().diverse->kept);
         EXPECT_EQ(got.value().diverse->candidates,
                   want.value().diverse->candidates);
-        EXPECT_EQ(got.value().diverse->ep_path_nodes,
-                  want.value().diverse->ep_path_nodes);
         EXPECT_EQ(got.value().diverse->max_pairwise_similarity,
                   want.value().diverse->max_pairwise_similarity);
 

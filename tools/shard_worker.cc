@@ -37,6 +37,7 @@
 
 #include "core/status.h"
 #include "graph/graph.h"
+#include "kspdg/ksp_dg_options.h"
 #include "kspdg/partial_provider.h"
 #include "obs/metrics.h"
 #include "partition/partitioner.h"
@@ -119,6 +120,13 @@ class WorkerState {
           "worker is at epoch " + std::to_string(epoch_) +
           " but the partials request names epoch " +
           std::to_string(request.epoch));
+    }
+    if (request.depth == 0 || request.depth > kMaxPartialDepth) {
+      // The coordinator's depth schedule never leaves [1, kMaxPartialDepth];
+      // anything else would only make Yen reserve an absurd list.
+      return Status::InvalidArgument(
+          "partials request depth " + std::to_string(request.depth) +
+          " is outside [1, " + std::to_string(kMaxPartialDepth) + "]");
     }
     PartialsReply result;
     result.lists.reserve(request.sgids.size());

@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "api/routing_options.h"
@@ -48,18 +47,6 @@ struct SolverInput {
   RoutingOptions options;
 };
 
-/// Opaque per-worker scratch state for a solver backend. The service keeps
-/// one scratch per (worker, backend) pair in an arena that outlives any
-/// single batch and hands it back on every Solve call that worker makes, so
-/// per-query allocations — Yen's ban buffers — are pooled instead of
-/// rebuilt per request. A scratch is never used by two threads at once and
-/// outlives traffic batches, so it must hold nothing derived from edge
-/// weights.
-class SolverScratch {
- public:
-  virtual ~SolverScratch() = default;
-};
-
 class KspSolver {
  public:
   virtual ~KspSolver() = default;
@@ -67,35 +54,11 @@ class KspSolver {
   /// Registry key, e.g. "kspdg". Must be stable for the solver's lifetime.
   virtual std::string_view name() const = 0;
 
-  /// Creates scratch state reusable across consecutive Solve calls on one
-  /// worker thread at a fixed weight snapshot. nullptr (the default) means
-  /// this backend keeps no reusable state.
-  virtual std::unique_ptr<SolverScratch> NewScratch() const { return nullptr; }
-
   /// Computes up to options.k shortest loopless paths source -> target.
   /// Returning fewer (or zero) paths is not an error; Status is reserved for
-  /// requests the backend cannot serve (e.g. unsupported k). `scratch` is
-  /// either nullptr or an object this solver returned from NewScratch().
-  virtual Result<KspQueryResult> Solve(const SolverInput& input,
-                                       SolverScratch* scratch = nullptr)
-      const = 0;
-};
-
-/// Lazily populated solver scratch, one slot per backend — the per-worker
-/// arena the service keeps warm across batches (see SolverScratch for the
-/// reuse contract). A handful of backends at most: linear scan beats
-/// hashing. Not thread-safe; each pool worker owns one arena.
-struct SolverScratchArena {
-  std::vector<std::pair<const KspSolver*, std::unique_ptr<SolverScratch>>>
-      by_solver;
-
-  SolverScratch* Get(const KspSolver* solver) {
-    for (auto& [known, scratch] : by_solver) {
-      if (known == solver) return scratch.get();
-    }
-    by_solver.emplace_back(solver, solver->NewScratch());
-    return by_solver.back().second.get();
-  }
+  /// requests the backend cannot serve (e.g. unsupported k). Backends keep
+  /// no state between calls, so one solver serves concurrent callers.
+  virtual Result<KspQueryResult> Solve(const SolverInput& input) const = 0;
 };
 
 class SolverRegistry;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/parallel_for.h"
 #include "core/timer.h"
 #include "ksp/path.h"
 #include "kspdg/partial_provider.h"
@@ -42,6 +44,13 @@ class InProcessShardBackend final : public ShardBackend {
   const Dtlp& dtlp_;
 };
 
+/// Threads one QueryBatch uses when the caller passes 0: one per hardware
+/// thread, capped at 16.
+unsigned DefaultBatchThreads(unsigned requested) {
+  if (requested != 0) return requested;
+  return std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
+}
+
 /// Distinct boundary pairs each per-(shard, worker) partial cache may
 /// memoise between flushes. Past the cap, requests still compute but stop
 /// caching — correctness never depends on a hit.
@@ -57,9 +66,9 @@ constexpr size_t kPartialCachePairs = 4096;
 // answer is identical to the inline computation whatever the shard count
 // or backend.
 //
-// A caching provider (one per batch worker, alive across batches) memoises
-// the lists per (shard, x, y, depth): an entry is reused only when the
-// requested depth matches exactly, or when the cached lists are complete
+// A caching provider (one per batch worker index, alive across batches)
+// memoises the lists per (shard, x, y, depth): an entry is reused only when
+// the requested depth matches exactly, or when the cached lists are complete
 // (exhausted at a depth <= the request, so a fresh run would return the very
 // same lists). Either way the replay feeds the merge the identical inputs a
 // fresh fetch would — reusing *deeper* lists instead would not be safe,
@@ -237,12 +246,6 @@ class RoutingService::ShardPartialProvider : public PartialProvider {
   Status error_;
 };
 
-RoutingService::BatchWorker::BatchWorker() = default;
-RoutingService::BatchWorker::BatchWorker(BatchWorker&&) noexcept = default;
-RoutingService::BatchWorker& RoutingService::BatchWorker::operator=(
-    BatchWorker&&) noexcept = default;
-RoutingService::BatchWorker::~BatchWorker() = default;
-
 RoutingService::RoutingService(Graph graph, RoutingServiceOptions options)
     : graph_(std::move(graph)), options_(std::move(options)) {}
 
@@ -304,14 +307,11 @@ Status RoutingService::Init(const BackendFactory& make_backend) {
     return static_cast<int64_t>(CurrentEpoch());
   });
 
-  batch_pool_ =
-      std::make_unique<ThreadPool>(DefaultBatchThreads(options_.batch_threads));
   {
     MutexLock batch_guard(batch_mu_);
-    batch_workers_.resize(batch_pool_->num_threads());
-    for (BatchWorker& worker : batch_workers_) {
-      worker.provider =
-          std::make_unique<ShardPartialProvider>(*this, /*cache=*/true);
+    batch_providers_.resize(DefaultBatchThreads(options_.batch_threads));
+    for (std::unique_ptr<ShardPartialProvider>& provider : batch_providers_) {
+      provider = std::make_unique<ShardPartialProvider>(*this, /*cache=*/true);
     }
   }
 
@@ -327,8 +327,7 @@ Status RoutingService::Init(const BackendFactory& make_backend) {
   AdmissionOptions admission;
   admission.per_tenant_quota = options_.per_tenant_quota;
   submit_queue_ = std::make_unique<SubmissionQueue>(
-      options_.submit_queue_capacity, /*num_workers=*/1,
-      std::move(queue_metrics), admission);
+      options_.submit_queue_capacity, std::move(queue_metrics), admission);
   SubmissionQueue* queue = submit_queue_.get();
   metrics_.AddGaugeCallback("submission_queue_depth", {}, [queue] {
     return static_cast<int64_t>(queue->pending());
@@ -378,8 +377,7 @@ Status RoutingService::PrepareQuery(const RouteRequest& request,
 
 Result<RouteResponse> RoutingService::SolvePrepared(
     const RouteRequest& request, PreparedRoute& route,
-    ShardPartialProvider& provider, SolverScratch* scratch,
-    uint64_t epoch) const {
+    ShardPartialProvider& provider, uint64_t epoch) const {
   SolverInput input;
   input.graph = &graph_;
   input.dtlp = dtlp_.get();
@@ -392,7 +390,7 @@ Result<RouteResponse> RoutingService::SolvePrepared(
   input.options = std::move(route.merged);
   provider.BeginQuery();
   WallTimer timer;
-  Result<KspQueryResult> solved = route.solver->Solve(input, scratch);
+  Result<KspQueryResult> solved = route.solver->Solve(input);
   if (!provider.error().ok()) {
     // A partial fetch failed mid-solve: whatever the solver produced is
     // untrustworthy. Degrade to the fetch error, never a wrong answer.
@@ -431,7 +429,7 @@ Result<RouteResponse> RoutingService::Query(const RouteRequest& request) const {
   const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   provider.BindEpoch(epoch);
   Result<RouteResponse> response =
-      SolvePrepared(request, prepared, provider, nullptr, epoch);
+      SolvePrepared(request, prepared, provider, epoch);
   if (!response.ok()) svc_metrics_.RecordQueryFailure(response.status());
   return response;
 }
@@ -461,14 +459,7 @@ Result<RouteBatchResponse> RoutingService::QueryBatch(
     work.push_back(std::move(prepared));
   }
 
-  // Phase 2: group by backend so the contiguous chunks a worker claims
-  // mostly share a solver and its scratch stays warm across them.
-  std::stable_sort(work.begin(), work.end(),
-                   [](const Prepared& a, const Prepared& b) {
-                     return a.route.solver->name() < b.route.solver->name();
-                   });
-
-  // Phase 3 (snapshot section): ONE shared hold covers every solve, so the
+  // Phase 2 (snapshot section): ONE shared hold covers every solve, so the
   // whole batch is answered at a single epoch — a concurrent
   // ApplyTrafficBatch waits on the snapshot lock and can never tear it.
   MutexLock batch_guard(batch_mu_);
@@ -477,25 +468,25 @@ Result<RouteBatchResponse> RoutingService::QueryBatch(
     WallTimer timer;
     const uint64_t epoch = epoch_.load(std::memory_order_acquire);
     batch.epoch = epoch;
-    for (BatchWorker& worker : batch_workers_) {
-      worker.provider->BindEpoch(epoch);
+    for (std::unique_ptr<ShardPartialProvider>& provider : batch_providers_) {
+      provider->BindEpoch(epoch);
     }
-    // The pool threads do not hold batch_mu_ — they are handed disjoint
-    // worker slots while this thread keeps the whole batch section locked,
+    // The loop's threads do not hold batch_mu_ — each worker index gets its
+    // own provider while this thread keeps the whole batch section locked,
     // which the analysis cannot see through the lambda. The raw pointer is
     // the deliberate escape hatch.
-    BatchWorker* const pool_workers = batch_workers_.data();
+    std::unique_ptr<ShardPartialProvider>* const providers =
+        batch_providers_.data();
+    const unsigned num_threads =
+        static_cast<unsigned>(batch_providers_.size());
     // Chunks large enough to amortise claiming, small enough to balance the
     // (highly skewed) per-query solve costs across workers.
-    size_t chunk = std::max<size_t>(
-        1, work.size() / (4 * size_t{batch_pool_->num_threads()}));
-    batch_pool_->ParallelFor(
-        work.size(), chunk, [&](unsigned worker_id, size_t j) {
+    size_t chunk = std::max<size_t>(1, work.size() / (4 * size_t{num_threads}));
+    ParallelForChunked(
+        work.size(), chunk, num_threads, [&](unsigned worker, size_t j) {
           Prepared& p = work[j];
-          BatchWorker& worker = pool_workers[worker_id];
           Result<RouteResponse> response = SolvePrepared(
-              requests[p.index], p.route, *worker.provider,
-              worker.arena.Get(p.route.solver), epoch);
+              requests[p.index], p.route, *providers[worker], epoch);
           RouteBatchItem& item = batch.items[p.index];
           if (response.ok()) {
             item.response = std::move(response).value();

@@ -3,9 +3,9 @@
 //
 // One instance owns the dynamic graph, the DTLP master built over it, the
 // CANDS baseline index, the solver registry, the epoch protocol, the batch
-// pool, the submission queue, and the metrics registry, and serves the
-// paper's workload (§1, §5): route queries streaming in *while* traffic
-// updates stream in. The subgraphs of the DTLP partition are split over
+// workers' partial caches, the submission queue, and the metrics registry,
+// and serves the paper's workload (§1, §5): route queries streaming in
+// *while* traffic updates stream in. The subgraphs of the DTLP partition are split over
 // `num_shards` shards, and the KSP-DG refine step's boundary-pair partials
 // go to the shard owning each subgraph through a ShardBackend
 // (api/shard_backend.h): by default an in-process slice of this
@@ -19,10 +19,10 @@
 //   Query / QueryBatch  a shared hold on the snapshot lock freezes the
 //                       master and every shard at the committed epoch; the
 //                       partial fetches of every shard run under it. A
-//                       QueryBatch takes ONE hold and runs on the service
-//                       pool, where each worker keeps per-(shard, worker)
-//                       partial caches that stay warm across batches until
-//                       that shard's weights move.
+//                       QueryBatch takes ONE hold and runs its items on a
+//                       parallel loop, where each worker index keeps
+//                       per-(shard, worker) partial caches that stay warm
+//                       across batches until that shard's weights move.
 //   SubmitBatch         async QueryBatch: bounded, admission-controlled
 //                       submission queue plus a ticket.
 //   ApplyTrafficBatch   exclusive hold (drains every reader), then
@@ -54,7 +54,6 @@
 #include "core/status.h"
 #include "core/submission_queue.h"
 #include "core/thread_annotations.h"
-#include "core/thread_pool.h"
 #include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
@@ -71,8 +70,7 @@ struct RoutingServiceOptions {
   /// subgraph count own nothing).
   uint32_t num_shards = 1;
   /// Threads answering one QueryBatch (0 = one per hardware thread, capped
-  /// at 16; 1 = batches execute inline on the caller). The pool is owned by
-  /// the service and shared by all batches.
+  /// at 16; 1 = batches execute inline on the caller).
   unsigned batch_threads = 0;
   /// Batches the async SubmitBatch queue buffers before admission engages:
   /// no-envelope submits block (backpressure), QoS submits shed or displace
@@ -110,9 +108,9 @@ class RoutingService : public RoutingServiceInterface {
 
   /// Answers a whole batch of queries on ONE snapshot: requests are
   /// validated up front, the snapshot lock is held once, and the valid
-  /// requests are grouped by backend and executed on the service's pool.
-  /// Each worker keeps solver scratch plus per-(shard, worker) partial
-  /// caches that stay warm across batches until the shard's weights move,
+  /// requests are solved on a parallel loop of batch_threads workers. Each
+  /// worker index keeps per-(shard, worker) partial caches that stay warm
+  /// across batches until the shard's weights move,
   /// so repeated boundary pairs cost no new partial Yen runs. Answers are
   /// byte-identical to issuing the requests one by one. Invalid requests
   /// receive per-item statuses without failing the batch. Thread-safe.
@@ -209,20 +207,6 @@ class RoutingService : public RoutingServiceInterface {
 
   class ShardPartialProvider;
 
-  /// Persistent state of one batch-pool worker: solver scratch (pooled Yen
-  /// ban buffers etc.) plus the caching partial provider. Guarded by
-  /// batch_mu_.
-  struct BatchWorker {
-    SolverScratchArena arena;
-    std::unique_ptr<ShardPartialProvider> provider;
-
-    // Out of line: ShardPartialProvider is incomplete here.
-    BatchWorker();
-    BatchWorker(BatchWorker&&) noexcept;
-    BatchWorker& operator=(BatchWorker&&) noexcept;
-    ~BatchWorker();
-  };
-
   /// Delegates to PrepareRoutingQuery. Fills `prepared` on success; callers
   /// account rejections themselves.
   Status PrepareQuery(const RouteRequest& request,
@@ -234,7 +218,6 @@ class RoutingService : public RoutingServiceInterface {
   Result<RouteResponse> SolvePrepared(const RouteRequest& request,
                                       PreparedRoute& route,
                                       ShardPartialProvider& provider,
-                                      SolverScratch* scratch,
                                       uint64_t epoch) const;
 
   /// Marks the registry frozen. Only the first accepted query writes the
@@ -270,16 +253,15 @@ class RoutingService : public RoutingServiceInterface {
   /// Committed epoch: advanced only under the exclusive snapshot lock,
   /// readable without it (CurrentEpoch, the epoch gauge).
   std::atomic<uint64_t> epoch_{0};
-  /// Executes QueryBatch work items.
-  std::unique_ptr<ThreadPool> batch_pool_;
 
   /// Serialises the parallel section of concurrent QueryBatch calls and
-  /// guards the persistent worker state below. Taken BEFORE the snapshot
-  /// lock so queued batches wait outside the snapshot section — a waiting
-  /// traffic writer then drains at most one in-flight batch, not the whole
-  /// queue.
+  /// guards the caching providers below, one per worker index of the batch
+  /// loop. Taken BEFORE the snapshot lock so queued batches wait outside
+  /// the snapshot section — a waiting traffic writer then drains at most
+  /// one in-flight batch, not the whole queue.
   mutable Mutex batch_mu_{"RoutingService::batch_mu_"};
-  mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);
+  mutable std::vector<std::unique_ptr<ShardPartialProvider>> batch_providers_
+      GUARDED_BY(batch_mu_);
 
   /// Query/update handles into metrics_.
   ServiceMetrics svc_metrics_;

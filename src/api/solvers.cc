@@ -173,21 +173,14 @@ RoutingOptions MergeOptions(const RoutingOptions& defaults,
 
 namespace {
 
-/// Scratch shared by the deviation-search backends: pooled Yen ban buffers.
-struct YenBackendScratch : SolverScratch {
-  YenScratch yen;
-};
-
-/// DTLP filter-and-refine (Algorithms 3 + 4); the paper's KSP-DG. Keeps no
-/// scratch: cross-query partial reuse lives in the service's partial
-/// provider, per (shard, worker), so it flushes with the shard it derives
-/// from.
+/// DTLP filter-and-refine (Algorithms 3 + 4); the paper's KSP-DG.
+/// Cross-query partial reuse lives in the service's partial provider, per
+/// (shard, worker), so it flushes with the shard it derives from.
 class KspDgSolver : public KspSolver {
  public:
   std::string_view name() const override { return kBackendKspDg; }
 
-  Result<KspQueryResult> Solve(const SolverInput& input,
-                               SolverScratch*) const override {
+  Result<KspQueryResult> Solve(const SolverInput& input) const override {
     if (input.dtlp == nullptr) {
       return Status::FailedPrecondition("kspdg backend requires a DTLP index");
     }
@@ -206,18 +199,10 @@ class YenSolver : public KspSolver {
  public:
   std::string_view name() const override { return kBackendYen; }
 
-  std::unique_ptr<SolverScratch> NewScratch() const override {
-    return std::make_unique<YenBackendScratch>();
-  }
-
-  Result<KspQueryResult> Solve(const SolverInput& input,
-                               SolverScratch* scratch) const override {
-    YenScratch* yen_scratch =
-        scratch != nullptr ? &static_cast<YenBackendScratch*>(scratch)->yen
-                           : nullptr;
+  Result<KspQueryResult> Solve(const SolverInput& input) const override {
     KspQueryResult result;
     result.paths = YenKspInGraph(*input.graph, input.source, input.target,
-                                 input.options.k, yen_scratch);
+                                 input.options.k);
     return result;
   }
 };
@@ -227,18 +212,10 @@ class FindKspSolver : public KspSolver {
  public:
   std::string_view name() const override { return kBackendFindKsp; }
 
-  std::unique_ptr<SolverScratch> NewScratch() const override {
-    return std::make_unique<YenBackendScratch>();
-  }
-
-  Result<KspQueryResult> Solve(const SolverInput& input,
-                               SolverScratch* scratch) const override {
-    YenScratch* yen_scratch =
-        scratch != nullptr ? &static_cast<YenBackendScratch*>(scratch)->yen
-                           : nullptr;
+  Result<KspQueryResult> Solve(const SolverInput& input) const override {
     KspQueryResult result;
-    result.paths = FindKsp(*input.graph, input.source, input.target,
-                           input.options.k, yen_scratch);
+    result.paths =
+        FindKsp(*input.graph, input.source, input.target, input.options.k);
     return result;
   }
 };
@@ -249,8 +226,7 @@ class DijkstraSolver : public KspSolver {
  public:
   std::string_view name() const override { return kBackendDijkstra; }
 
-  Result<KspQueryResult> Solve(const SolverInput& input,
-                               SolverScratch*) const override {
+  Result<KspQueryResult> Solve(const SolverInput& input) const override {
     if (input.options.k != 1) {
       return Status::InvalidArgument(
           "dijkstra backend serves only k=1 (got k=" +
@@ -273,8 +249,7 @@ class CandsSolver : public KspSolver {
  public:
   std::string_view name() const override { return kBackendCands; }
 
-  Result<KspQueryResult> Solve(const SolverInput& input,
-                               SolverScratch*) const override {
+  Result<KspQueryResult> Solve(const SolverInput& input) const override {
     if (input.options.k != 1) {
       return Status::InvalidArgument(
           "cands backend serves only k=1 (got k=" +

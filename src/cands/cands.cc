@@ -220,15 +220,4 @@ std::optional<Path> CandsIndex::ShortestPath(VertexId s, VertexId t) const {
   return result;
 }
 
-size_t CandsIndex::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + overlay_base_.MemoryBytes();
-  for (const SubgraphTable& table : tables_) {
-    for (const auto& [key, path] : table.pair_paths) {
-      bytes += sizeof(key) + sizeof(Path) +
-               path.vertices.capacity() * sizeof(VertexId) + 16;
-    }
-  }
-  return bytes;
-}
-
 }  // namespace kspdg

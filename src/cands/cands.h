@@ -51,7 +51,6 @@ class CandsIndex {
   std::optional<Path> ShortestPath(VertexId s, VertexId t) const;
 
   const Partition& partition() const { return *partition_; }
-  size_t MemoryBytes() const;
 
  private:
   CandsIndex(const Graph& g, CandsOptions options)

@@ -62,21 +62,6 @@ enum class AdmissionOutcome : uint8_t {
   kShedQuota = 3,
 };
 
-/// Stable name for logs, metric labels, and bench reports.
-inline const char* AdmissionOutcomeName(AdmissionOutcome outcome) {
-  switch (outcome) {
-    case AdmissionOutcome::kServed:
-      return "served";
-    case AdmissionOutcome::kRejected:
-      return "rejected";
-    case AdmissionOutcome::kShedDeadline:
-      return "shed_deadline";
-    case AdmissionOutcome::kShedQuota:
-      return "shed_quota";
-  }
-  return "unknown";
-}
-
 /// The QoS envelope a request may carry. Default-constructed contexts
 /// (normal priority, no deadline, no tenant) opt OUT of admission control:
 /// they keep the original blocking-backpressure submission contract.

@@ -38,7 +38,7 @@ class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   /// `name` labels this lock in lock-order diagnostics; use the member's
-  /// qualified role, e.g. "ThreadPool::mu_". Must outlive the mutex
+  /// qualified role, e.g. "SubmissionQueue::mu_". Must outlive the mutex
   /// (string literals always do).
   explicit Mutex(const char* name) : name_(name) {}
 

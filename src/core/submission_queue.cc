@@ -7,22 +7,17 @@
 
 namespace kspdg {
 
-SubmissionQueue::SubmissionQueue(size_t capacity, unsigned num_workers,
+SubmissionQueue::SubmissionQueue(size_t capacity,
                                  SubmissionQueueMetrics metrics,
                                  AdmissionOptions admission)
     : capacity_(std::max<size_t>(1, capacity)),
       metrics_(std::move(metrics)),
-      admission_(admission) {
-  unsigned n = std::max(1u, num_workers);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+      admission_(admission),
+      worker_([this] { WorkerLoop(); }) {}
 
 SubmissionQueue::~SubmissionQueue() {
   Shutdown();
-  for (std::thread& worker : workers_) worker.join();
+  worker_.join();
 }
 
 bool SubmissionQueue::Submit(std::function<void()> job) {
@@ -128,8 +123,8 @@ void SubmissionQueue::Shutdown() {
     MutexLock guard(mu_);
     shutdown_ = true;
   }
-  // Wake blocked producers (they return false) and idle workers (they see
-  // shutdown once the backlog is drained, and exit).
+  // Wake blocked producers (they return false) and the idle worker (it sees
+  // shutdown once the backlog is drained, and exits).
   cv_not_full_.NotifyAll();
   cv_not_empty_.NotifyAll();
 }

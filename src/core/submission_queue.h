@@ -18,7 +18,7 @@
 //
 //   deadlines  — a job whose deadline has already passed is answered
 //                immediately (kShedDeadline) at submit time; a job whose
-//                deadline passes while queued is answered the moment a
+//                deadline passes while queued is answered the moment the
 //                worker dequeues it, without running the solve.
 //   quotas     — a tenant with `per_tenant_quota` jobs already pending is
 //                shed (kShedQuota) instead of monopolising the queue.
@@ -29,8 +29,9 @@
 //                jobs are never displaced.
 //
 // Every admitted job's callback is invoked exactly once — with kServed when
-// it ran, or a shed outcome when admission answered for it. Shutdown stops
-// intake, drains what was accepted, and joins the workers.
+// it ran, or a shed outcome when admission answered for it. One worker
+// thread runs the jobs, so jobs of one class run in submission order.
+// Shutdown stops intake, drains what was accepted, and joins the worker.
 #ifndef KSPDG_CORE_SUBMISSION_QUEUE_H_
 #define KSPDG_CORE_SUBMISSION_QUEUE_H_
 
@@ -41,7 +42,6 @@
 #include <map>
 #include <optional>
 #include <thread>
-#include <vector>
 
 #include "core/admission.h"
 #include "core/mutex.h"
@@ -86,13 +86,13 @@ enum class SubmitOutcome : uint8_t {
 /// doing the work".
 using AdmissionJob = std::function<void(AdmissionOutcome)>;
 
-/// Bounded multi-producer job queue with owned worker threads (see file
+/// Bounded multi-producer job queue with one owned worker thread (see file
 /// comment). All methods are thread-safe.
 class SubmissionQueue {
  public:
   /// A queue admitting up to `capacity` pending jobs (0 is treated as 1),
-  /// drained by `num_workers` dedicated threads (0 is treated as 1).
-  explicit SubmissionQueue(size_t capacity, unsigned num_workers = 1,
+  /// drained by one dedicated thread.
+  explicit SubmissionQueue(size_t capacity,
                            SubmissionQueueMetrics metrics = {},
                            AdmissionOptions admission = {});
 
@@ -153,7 +153,7 @@ class SubmissionQueue {
   const AdmissionOptions admission_;
   mutable Mutex mu_{"SubmissionQueue::mu_"};
   CondVar cv_not_full_;   // blocking producers wait here
-  CondVar cv_not_empty_;  // workers wait here
+  CondVar cv_not_empty_;  // the worker waits here
   /// One FIFO per priority class, indexed by RequestPriority.
   std::array<std::deque<Entry>, kNumPriorities> classes_ GUARDED_BY(mu_);
   std::map<std::string, size_t> tenant_pending_ GUARDED_BY(mu_);
@@ -162,7 +162,7 @@ class SubmissionQueue {
   uint64_t completed_ GUARDED_BY(mu_) = 0;
   uint64_t shed_deadline_ GUARDED_BY(mu_) = 0;
   uint64_t shed_quota_ GUARDED_BY(mu_) = 0;
-  std::vector<std::thread> workers_;
+  std::thread worker_;
 };
 
 }  // namespace kspdg

@@ -89,10 +89,4 @@ DtlpUpdateStats Dtlp::ApplyUpdates(std::span<const WeightUpdate> updates) {
   return stats;
 }
 
-size_t Dtlp::EpIndexMemoryBytes() const {
-  size_t bytes = 0;
-  for (const SubgraphIndex& index : indexes_) bytes += index.MemoryBytes();
-  return bytes;
-}
-
 }  // namespace kspdg

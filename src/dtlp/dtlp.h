@@ -58,10 +58,6 @@ class Dtlp {
   size_t NumSubgraphs() const { return partition_->subgraphs.size(); }
   const SubgraphIndex& index(SubgraphId sg) const { return indexes_[sg]; }
 
-  /// Memory accounting for the construction-cost figures.
-  size_t EpIndexMemoryBytes() const;
-  size_t SkeletonMemoryBytes() const { return skeleton_.MemoryBytes(); }
-
  private:
   Dtlp(const Graph& g, DtlpOptions options)
       : graph_(&g), options_(std::move(options)) {}

@@ -65,21 +65,6 @@ void SkeletonGraph::RecomputeEdgeWeight(EdgeRec& rec) {
   }
 }
 
-size_t SkeletonGraph::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += global_of_.capacity() * sizeof(VertexId);
-  bytes += id_of_global_.size() * (sizeof(VertexId) + sizeof(SkeletonId) + 16);
-  for (const EdgeRec& rec : edges_) {
-    bytes += sizeof(EdgeRec) +
-             rec.contributions.capacity() * sizeof(Contribution);
-  }
-  bytes += edge_of_pair_.size() * (sizeof(uint64_t) + sizeof(EdgeId) + 16);
-  for (const auto& arcs : adjacency_) {
-    bytes += sizeof(arcs) + arcs.capacity() * sizeof(Arc);
-  }
-  return bytes;
-}
-
 SkeletonId SkeletonOverlay::AddTempVertex(VertexId global) {
   assert(!base_->ContainsGlobal(global));
   auto it = temp_id_of_global_.find(global);

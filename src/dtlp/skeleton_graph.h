@@ -66,8 +66,6 @@ class SkeletonGraph {
     return id_of_global_.count(global) > 0;
   }
 
-  size_t MemoryBytes() const;
-
  private:
   struct Contribution {
     SubgraphId subgraph;

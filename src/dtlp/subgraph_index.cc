@@ -87,6 +87,7 @@ void SubgraphIndex::Build() {
   for (uint32_t pid = 0; pid < paths_.size(); ++pid) {
     for (EdgeId e : paths_[pid].edges) ep_index_[e].push_back(pid);
   }
+  pool_.Rebuild();
   for (BoundaryPairEntry& pair : pairs_) RecomputePairBound(pair);
   dirty_ = false;
 }
@@ -111,13 +112,15 @@ void SubgraphIndex::OnWeightChange(EdgeId local_edge, Weight old_fwd,
         }
       }
     }
-    pool_.MarkDirty();
     dirty_ = true;
   }
 }
 
 bool SubgraphIndex::Refresh() {
   if (!dirty_) return false;
+  // Always rebuilt, even with no pair to recompute: LowerBoundBetween reads
+  // the pool for subgraphs whose endpoints are not boundary vertices.
+  pool_.Rebuild();
   bool changed = false;
   for (BoundaryPairEntry& pair : pairs_) {
     Weight old = pair.lbd;
@@ -199,31 +202,6 @@ Weight SubgraphIndex::LowerBoundBetween(VertexId src_local,
   if (distinct == 0) return kInfiniteWeight;
   Weight bd_max = pool_.SumOfSmallest(max_phi);
   return std::min(min_actual, bd_max);
-}
-
-size_t SubgraphIndex::EpIndexEntries() const {
-  size_t total = 0;
-  for (const auto& list : ep_index_) total += list.size();
-  return total;
-}
-
-size_t SubgraphIndex::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const BoundingPath& p : paths_) {
-    bytes += sizeof(BoundingPath);
-    bytes += p.verts.capacity() * sizeof(VertexId);
-    bytes += p.edges.capacity() * sizeof(EdgeId);
-    bytes += p.uses_forward.capacity();
-  }
-  for (const BoundaryPairEntry& pair : pairs_) {
-    bytes += sizeof(BoundaryPairEntry);
-    bytes += pair.paths.capacity() * sizeof(uint32_t);
-  }
-  for (const auto& list : ep_index_) {
-    bytes += sizeof(list) + list.capacity() * sizeof(uint32_t);
-  }
-  bytes += pool_.MemoryBytes();
-  return bytes;
 }
 
 }  // namespace kspdg

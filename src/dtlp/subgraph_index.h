@@ -60,19 +60,17 @@ class SubgraphIndex {
 
   /// Notifies the index that the local weight of `local_edge` changed from
   /// (old_fwd, old_bwd) to the subgraph's current values. Updates bounding-
-  /// path distances through the EP-Index and marks bounds dirty.
+  /// path distances through the EP-Index and marks the index dirty.
   void OnWeightChange(EdgeId local_edge, Weight old_fwd, Weight old_bwd);
 
-  bool dirty() const { return dirty_; }
-
-  /// Recomputes bound distances and per-pair lower bounds (Theorem 1).
-  /// Returns true if any pair's LBD changed.
+  /// Rebuilds the unit-weight pool and recomputes the per-pair lower bounds
+  /// (Theorem 1) if the index is dirty. Returns true if any pair's LBD
+  /// changed.
   bool Refresh();
 
   const Subgraph& subgraph() const { return *subgraph_; }
   const std::vector<BoundingPath>& paths() const { return paths_; }
   const std::vector<BoundaryPairEntry>& pairs() const { return pairs_; }
-  const UnitWeightPool& pool() const { return pool_; }
 
   /// Bounding paths crossing `local_edge` (EP-Index lookup).
   const std::vector<uint32_t>& PathsThroughEdge(EdgeId local_edge) const {
@@ -91,12 +89,6 @@ class SubgraphIndex {
   /// query endpoints fall in the same subgraph). kInfiniteWeight if
   /// disconnected within the subgraph.
   Weight LowerBoundBetween(VertexId src_local, VertexId dst_local) const;
-
-  /// Total number of (path, edge) incidences in the EP-Index — the paper's
-  /// EP-Index size measure (Nb(Nb-1)/2 * ξ * ne).
-  size_t EpIndexEntries() const;
-
-  size_t MemoryBytes() const;
 
  private:
   /// Collects bounding paths from src to dst and appends them to paths_,

@@ -4,7 +4,7 @@
 
 namespace kspdg {
 
-void UnitWeightPool::Rebuild() const {
+void UnitWeightPool::Rebuild() {
   entries_.clear();
   entries_.reserve(local_->NumEdges() * (local_->directed() ? 2 : 1));
   for (EdgeId e = 0; e < local_->NumEdges(); ++e) {
@@ -27,11 +27,9 @@ void UnitWeightPool::Rebuild() const {
     entry.cum_count = cum_count;
     entry.cum_weight = cum_weight;
   }
-  dirty_ = false;
 }
 
 Weight UnitWeightPool::SumOfSmallest(VfragCount m) const {
-  if (dirty_) Rebuild();
   if (m == 0 || entries_.empty()) return 0;
   // First entry whose cumulative count reaches m.
   auto it = std::lower_bound(
@@ -41,11 +39,6 @@ Weight UnitWeightPool::SumOfSmallest(VfragCount m) const {
   Weight below = it == entries_.begin() ? 0 : (it - 1)->cum_weight;
   VfragCount count_below = it == entries_.begin() ? 0 : (it - 1)->cum_count;
   return below + static_cast<Weight>(m - count_below) * it->unit;
-}
-
-VfragCount UnitWeightPool::TotalVfrags() const {
-  if (dirty_) Rebuild();
-  return entries_.empty() ? 0 : entries_.back().cum_count;
 }
 
 }  // namespace kspdg

@@ -3,8 +3,9 @@
 // Every edge direction contributes `vfrags` fragments of unit weight
 // `current_weight / vfrags`. The bound distance of a bounding path with φ
 // vfrags is the sum of the φ smallest unit weights in its subgraph; this
-// class answers that query in O(log E) after an O(E log E) rebuild, which is
-// performed lazily after weight changes.
+// class answers that query in O(log E) after an O(E log E) rebuild, which
+// the owning SubgraphIndex performs on the write side (Build, and Refresh
+// after weight changes), so concurrent readers share a pure const lookup.
 #ifndef KSPDG_DTLP_UNIT_WEIGHT_POOL_H_
 #define KSPDG_DTLP_UNIT_WEIGHT_POOL_H_
 
@@ -19,22 +20,16 @@ class UnitWeightPool {
  public:
   /// Binds the pool to a subgraph-local graph. In directed mode both
   /// directions of every edge contribute fragments; in undirected mode each
-  /// edge contributes once.
-  explicit UnitWeightPool(const Graph* local) : local_(local) { MarkDirty(); }
+  /// edge contributes once. The pool is empty until the first Rebuild.
+  explicit UnitWeightPool(const Graph* local) : local_(local) {}
 
-  void MarkDirty() { dirty_ = true; }
-  bool dirty() const { return dirty_; }
+  /// Re-reads every unit weight from the local graph. Must not run
+  /// concurrently with SumOfSmallest.
+  void Rebuild();
 
-  /// Sum of the m smallest unit weights (rebuilds if dirty). If m exceeds
-  /// the total number of fragments, the total weight is returned.
+  /// Sum of the m smallest unit weights as of the last Rebuild. If m
+  /// exceeds the total number of fragments, the total weight is returned.
   Weight SumOfSmallest(VfragCount m) const;
-
-  /// Total number of virtual fragments in the pool.
-  VfragCount TotalVfrags() const;
-
-  size_t MemoryBytes() const {
-    return sizeof(*this) + entries_.capacity() * sizeof(Entry);
-  }
 
  private:
   struct Entry {
@@ -44,11 +39,8 @@ class UnitWeightPool {
     Weight cum_weight;      // total weight of this and all cheaper entries
   };
 
-  void Rebuild() const;
-
   const Graph* local_;
-  mutable bool dirty_ = true;
-  mutable std::vector<Entry> entries_;  // sorted by unit ascending
+  std::vector<Entry> entries_;  // sorted by unit ascending
 };
 
 }  // namespace kspdg

@@ -5,16 +5,6 @@
 
 namespace kspdg {
 
-size_t Graph::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += adjacency_.capacity() * sizeof(adjacency_[0]);
-  for (const auto& arcs : adjacency_) bytes += arcs.capacity() * sizeof(Arc);
-  bytes += edge_u_.capacity() * sizeof(VertexId) * 2;
-  bytes += vfrags_fwd_.capacity() * sizeof(VfragCount) * 2;
-  bytes += weight_fwd_.capacity() * sizeof(Weight) * 2;
-  return bytes;
-}
-
 bool Graph::IsConnected() const {
   if (NumVertices() == 0) return true;
   std::vector<char> seen(NumVertices(), 0);

@@ -164,9 +164,6 @@ class Graph {
     return Status::OK();
   }
 
-  /// Approximate heap footprint in bytes (for the memory-cost figures).
-  size_t MemoryBytes() const;
-
   /// True if every vertex can reach every other (ignoring direction).
   bool IsConnected() const;
 

@@ -6,6 +6,13 @@
 
 namespace kspdg {
 
+namespace {
+
+/// Weights never drop below this fraction of the initial weight.
+constexpr double kMinWeightFactor = 0.05;
+
+}  // namespace
+
 TrafficModel::TrafficModel(const Graph& graph,
                            const TrafficModelOptions& options)
     : graph_(&graph), options_(options), rng_(options.seed) {
@@ -18,7 +25,7 @@ TrafficModel::TrafficModel(const Graph& graph,
 WeightUpdate TrafficModel::MakeUpdate(EdgeId e) {
   auto vary = [&](VfragCount w0) {
     double factor = 1.0 + rng_.NextDouble(-options_.tau, options_.tau);
-    double floor = options_.min_factor * static_cast<double>(w0);
+    double floor = kMinWeightFactor * static_cast<double>(w0);
     double w = factor * static_cast<double>(w0);
     if (w < floor) w = floor;
     if (w <= 0.0) w = 1e-6;

@@ -27,8 +27,6 @@ struct TrafficModelOptions {
   /// identically, which is how the paper simulates "varying undirected
   /// graphs" on directed datasets.
   bool independent_directions = false;
-  /// Weights never drop below this fraction of the initial weight.
-  double min_factor = 0.05;
   uint64_t seed = 7;
 };
 

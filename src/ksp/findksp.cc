@@ -6,21 +6,20 @@
 
 namespace kspdg {
 
-std::vector<Path> FindKsp(const Graph& g, VertexId s, VertexId t, size_t k,
-                          YenScratch* scratch) {
+std::vector<Path> FindKsp(const Graph& g, VertexId s, VertexId t, size_t k) {
   GraphCostView view(g, CostKind::kCurrentWeight);
   // Reverse SPT rooted at t: exact remaining-distance heuristic.
   DijkstraSearch<GraphCostView> search(view);
   std::vector<Weight> to_target;
   search.ComputeTree(t, /*reverse=*/true, &to_target);
   if (to_target[s] == kInfiniteWeight) return {};
-  return YenKsp(view, s, t, k, &to_target, scratch);
+  return YenKsp(view, s, t, k, &to_target);
 }
 
 std::vector<Path> YenKspInGraph(const Graph& g, VertexId s, VertexId t,
-                                size_t k, YenScratch* scratch) {
+                                size_t k) {
   GraphCostView view(g, CostKind::kCurrentWeight);
-  return YenKsp(view, s, t, k, nullptr, scratch);
+  return YenKsp(view, s, t, k);
 }
 
 std::optional<Path> ShortestPathInGraph(const Graph& g, VertexId s,

@@ -17,13 +17,9 @@
 
 namespace kspdg {
 
-struct YenScratch;
-
 /// Computes up to k shortest loopless paths from s to t under current
-/// weights, using SPT-guided deviation search. `scratch` (optional) pools
-/// the deviation-search ban buffers across calls on one thread.
-std::vector<Path> FindKsp(const Graph& g, VertexId s, VertexId t, size_t k,
-                          YenScratch* scratch = nullptr);
+/// weights, using SPT-guided deviation search.
+std::vector<Path> FindKsp(const Graph& g, VertexId s, VertexId t, size_t k);
 
 }  // namespace kspdg
 

@@ -20,70 +20,20 @@
 
 namespace kspdg {
 
-/// Reusable ban-stamp buffers for YenEnumerator. One scratch may serve many
-/// enumerators *sequentially* (never concurrently): the epoch counters keep
-/// advancing across enumerators, so as long as the graph dimensions match,
-/// handing a warm scratch to the next query skips two O(V + E) allocations
-/// per query. Per-worker batch execution pools one of these per worker.
-struct YenScratch {
-  std::vector<uint32_t> banned_vertices;
-  std::vector<uint32_t> banned_edges;
-  uint32_t vertex_epoch = 0;
-  uint32_t edge_epoch = 0;
-
-  /// Sizes the buffers for a graph; resets stamps only when sizes changed.
-  void Prepare(size_t num_vertices, size_t num_edges) {
-    if (banned_vertices.size() != num_vertices) {
-      banned_vertices.assign(num_vertices, 0);
-      vertex_epoch = 0;
-    }
-    if (banned_edges.size() != num_edges) {
-      banned_edges.assign(num_edges, 0);
-      edge_epoch = 0;
-    }
-  }
-
-  /// Epoch bumps with wrap protection: on the (astronomically rare) uint32
-  /// wrap the stale stamps are cleared so they cannot collide with epoch 0.
-  uint32_t NextVertexEpoch() {
-    if (++vertex_epoch == 0) {
-      std::fill(banned_vertices.begin(), banned_vertices.end(), 0u);
-      vertex_epoch = 1;
-    }
-    return vertex_epoch;
-  }
-  uint32_t NextEdgeEpoch() {
-    if (++edge_epoch == 0) {
-      std::fill(banned_edges.begin(), banned_edges.end(), 0u);
-      edge_epoch = 1;
-    }
-    return edge_epoch;
-  }
-};
-
 template <typename SearchGraph>
 class YenEnumerator {
  public:
   /// `heuristic`, if provided, must be an admissible lower bound on the
   /// remaining distance to `t` under the graph's costs (see FindKSP).
-  /// `scratch`, if provided, must not be in use by any other live
-  /// enumerator; it is resized for this graph and reused in place.
   YenEnumerator(const SearchGraph& g, VertexId s, VertexId t,
-                const std::vector<Weight>* heuristic = nullptr,
-                YenScratch* scratch = nullptr)
+                const std::vector<Weight>* heuristic = nullptr)
       : g_(&g),
         s_(s),
         t_(t),
         heuristic_(heuristic),
         dijkstra_(g),
-        scratch_(scratch != nullptr ? scratch : &owned_scratch_) {
-    scratch_->Prepare(g.NumVertices(), g.NumEdges());
-  }
-
-  // scratch_ may point at owned_scratch_: copying/moving would alias the
-  // source object's buffers.
-  YenEnumerator(const YenEnumerator&) = delete;
-  YenEnumerator& operator=(const YenEnumerator&) = delete;
+        banned_vertices_(g.NumVertices(), 0),
+        banned_edges_(g.NumEdges(), 0) {}
 
   /// Returns the next shortest loopless path from s to t, or std::nullopt
   /// when all simple paths have been enumerated.
@@ -140,20 +90,22 @@ class YenEnumerator {
     const std::vector<VertexId>& verts = base.path.vertices;
     if (verts.size() < 2) return;
     for (size_t j = base.deviation_index; j + 1 < verts.size(); ++j) {
-      uint32_t vertex_epoch = scratch_->NextVertexEpoch();
-      scratch_->NextEdgeEpoch();
+      // Each spur search stamps its bans with fresh epochs, so the buffers
+      // never need clearing between spurs.
+      uint32_t vertex_epoch = NextEpoch(banned_vertices_, vertex_epoch_);
+      NextEpoch(banned_edges_, edge_epoch_);
       VertexId spur = verts[j];
       // Ban the root-path vertices (so the spur path cannot loop back).
       for (size_t i = 0; i < j; ++i) {
-        scratch_->banned_vertices[verts[i]] = vertex_epoch;
+        banned_vertices_[verts[i]] = vertex_epoch;
       }
       // Ban the next edge of every known s-t path sharing this root.
       BanMatchingPrefixEdges(verts, j);
       SearchBans bans;
-      bans.banned_vertices = &scratch_->banned_vertices;
+      bans.banned_vertices = &banned_vertices_;
       bans.vertex_epoch = vertex_epoch;
-      bans.banned_edges = &scratch_->banned_edges;
-      bans.edge_epoch = scratch_->edge_epoch;
+      bans.banned_edges = &banned_edges_;
+      bans.edge_epoch = edge_epoch_;
       std::optional<Path> spur_path =
           dijkstra_.ShortestPath(spur, t_, bans, heuristic_);
       if (!spur_path.has_value()) continue;
@@ -195,9 +147,19 @@ class YenEnumerator {
     // route and dead-end the branch.
     for (const Arc& a : g_->Neighbors(known[j])) {
       if (a.to == known[j + 1]) {
-        scratch_->banned_edges[a.edge] = scratch_->edge_epoch;
+        banned_edges_[a.edge] = edge_epoch_;
       }
     }
+  }
+
+  /// Epoch bump with wrap protection: on the (astronomically rare) uint32
+  /// wrap the stale stamps are cleared so they cannot collide with epoch 0.
+  static uint32_t NextEpoch(std::vector<uint32_t>& stamps, uint32_t& epoch) {
+    if (++epoch == 0) {
+      std::fill(stamps.begin(), stamps.end(), 0u);
+      epoch = 1;
+    }
+    return epoch;
   }
 
   /// Cheapest arc u -> v (multigraph-safe).
@@ -213,21 +175,22 @@ class YenEnumerator {
   VertexId s_, t_;
   const std::vector<Weight>* heuristic_;
   DijkstraSearch<SearchGraph> dijkstra_;
-  YenScratch owned_scratch_;  // fallback when no external scratch is given
-  YenScratch* scratch_;
+  /// Ban stamps: an entry equal to the current epoch is banned.
+  std::vector<uint32_t> banned_vertices_;
+  std::vector<uint32_t> banned_edges_;
+  uint32_t vertex_epoch_ = 0;
+  uint32_t edge_epoch_ = 0;
   bool started_ = false;
   std::vector<Accepted> accepted_;
   std::multiset<Candidate> candidates_;
 };
 
 /// Computes up to k shortest loopless paths from s to t in one call.
-/// `scratch` (optional) pools the ban buffers across calls on one thread.
 template <typename SearchGraph>
 std::vector<Path> YenKsp(const SearchGraph& g, VertexId s, VertexId t,
                          size_t k,
-                         const std::vector<Weight>* heuristic = nullptr,
-                         YenScratch* scratch = nullptr) {
-  YenEnumerator<SearchGraph> yen(g, s, t, heuristic, scratch);
+                         const std::vector<Weight>* heuristic = nullptr) {
+  YenEnumerator<SearchGraph> yen(g, s, t, heuristic);
   std::vector<Path> out;
   out.reserve(k);
   for (size_t i = 0; i < k; ++i) {
@@ -240,7 +203,7 @@ std::vector<Path> YenKsp(const SearchGraph& g, VertexId s, VertexId t,
 
 /// k shortest paths in a Graph under current dynamic weights.
 std::vector<Path> YenKspInGraph(const Graph& g, VertexId s, VertexId t,
-                                size_t k, YenScratch* scratch = nullptr);
+                                size_t k);
 
 }  // namespace kspdg
 

@@ -36,7 +36,6 @@ struct KspDgQueryStats {
   uint32_t iterations = 0;
   size_t partial_ksp_computations = 0;  // Yen runs on subgraphs
   size_t partial_cache_hits = 0;
-  size_t subgraphs_examined = 0;
   size_t candidates_generated = 0;
 };
 

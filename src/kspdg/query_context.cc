@@ -102,7 +102,6 @@ const std::vector<Path>& QueryContext::Partials(VertexId x, VertexId y,
   }
   PartialResult result = provider_->ComputePartials(x, y, depth);
   stats_.partial_ksp_computations += result.yen_runs;
-  stats_.subgraphs_examined += result.yen_runs;
   entry.paths = std::move(result.paths);
   entry.depth = depth;
   entry.exhausted = result.exhausted;

@@ -33,15 +33,4 @@ EdgeId Subgraph::AddGlobalEdge(const Graph& g, EdgeId e) {
   return local;
 }
 
-size_t Subgraph::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += local_.MemoryBytes();
-  bytes += global_of_.capacity() * sizeof(VertexId);
-  bytes += global_edge_of_.capacity() * sizeof(EdgeId);
-  bytes += local_of_.size() * (sizeof(VertexId) * 2 + 16);
-  bytes += local_edge_of_.size() * (sizeof(EdgeId) * 2 + 16);
-  bytes += boundary_local_.capacity() * sizeof(VertexId);
-  return bytes;
-}
-
 }  // namespace kspdg

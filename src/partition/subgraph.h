@@ -74,9 +74,6 @@ class Subgraph {
     return true;
   }
 
-  /// Approximate heap footprint in bytes.
-  size_t MemoryBytes() const;
-
  private:
   SubgraphId id_;
   bool directed_;

@@ -19,8 +19,8 @@
 #include "api/shard_backend.h"
 #include "core/epoch_lock.h"
 #include "core/mutex.h"
+#include "core/parallel_for.h"
 #include "core/thread_annotations.h"
-#include "core/thread_pool.h"
 #include "partition/shard_assignment.h"
 #include "rpc/client.h"
 #include "rpc/wire.h"
@@ -30,6 +30,11 @@ extern char** environ;
 namespace kspdg {
 
 namespace {
+
+/// Per-attempt deadline for load-graph and epoch-prepare RPCs: a load
+/// partitions the whole graph, so it can legitimately outlast the
+/// query-path deadline.
+constexpr int64_t kApplyDeadlineMs = 120'000;
 
 /// See RemoteWorkerOptions::worker_binary: explicit path, else the
 /// KSPDG_WORKER_BIN env override, else "shard_worker" next to the current
@@ -134,9 +139,6 @@ class ReplicaFleet final : public ShardBackend {
       }
       return restarts;
     });
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    apply_pool_ = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(std::min<size_t>(workers_.size(), hw)));
   }
 
   /// Shuts the workers down (graceful Shutdown RPC first, SIGKILL after a
@@ -227,8 +229,10 @@ class ReplicaFleet final : public ShardBackend {
     prepare.updates.assign(updates.begin(), updates.end());
     const std::string payload = prepare.Encode();
     const auto& hook = options_.remote.before_prepare_hook;
-    apply_pool_->ParallelFor(
-        workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
+    // One thread per worker, capped at the hardware thread count.
+    ParallelFor(
+        workers_.size(), std::max(1u, std::thread::hardware_concurrency()),
+        [&](size_t wi) {
           Worker& worker = *workers_[wi];
           if (!worker.alive.load(std::memory_order_acquire)) return;
           if (worker.epoch.load(std::memory_order_acquire) != epoch - 1) {
@@ -448,7 +452,7 @@ class ReplicaFleet final : public ShardBackend {
       called = worker.client->Call(
           MessageType::kLoadGraphRequest, load.Encode(),
           MessageType::kLoadGraphReply, &reply_payload,
-          options_.remote.apply_deadline_ms);
+          kApplyDeadlineMs);
     }
     LoadGraphReply loaded;
     if (called.ok()) called = LoadGraphReply::Decode(reply_payload, &loaded);
@@ -482,7 +486,7 @@ class ReplicaFleet final : public ShardBackend {
       called = worker.client->Call(
           MessageType::kEpochPrepareRequest, payload,
           MessageType::kEpochPrepareReply, &reply_payload,
-          options_.remote.apply_deadline_ms);
+          kApplyDeadlineMs);
     }
     EpochPrepareReply reply;
     if (called.ok()) called = EpochPrepareReply::Decode(reply_payload, &reply);
@@ -631,9 +635,6 @@ class ReplicaFleet final : public ShardBackend {
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Per-shard round-robin start offset for the next partial fetch.
   mutable std::vector<std::atomic<uint64_t>> next_replica_;
-  /// Executes the apply fan-out (one thread per worker, capped at the
-  /// hardware thread count).
-  std::unique_ptr<ThreadPool> apply_pool_;
 };
 
 Result<std::unique_ptr<RemoteShardedRoutingService>>

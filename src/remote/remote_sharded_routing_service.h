@@ -92,9 +92,6 @@ struct RemoteWorkerOptions {
   uint32_t rpc_max_retries = 2;
   /// Backoff before retry r is rpc_backoff_ms << (r - 1).
   int64_t rpc_backoff_ms = 20;
-  /// Per-attempt deadline for load-graph and epoch-prepare RPCs (index
-  /// build / Algorithm 2 can legitimately outlast the query deadline).
-  int64_t apply_deadline_ms = 120'000;
   /// Idle-accept timeout handed to each worker: a worker whose coordinator
   /// died exits on its own after this long without a connection.
   int64_t worker_idle_timeout_ms = 120'000;

@@ -1,7 +1,5 @@
 #include "workload/query_gen.h"
 
-#include <deque>
-
 namespace kspdg {
 
 std::vector<std::pair<VertexId, VertexId>> MakeRandomQueries(
@@ -15,43 +13,6 @@ std::vector<std::pair<VertexId, VertexId>> MakeRandomQueries(
     VertexId t = static_cast<VertexId>(rng.NextBounded(n));
     if (s == t || g.Degree(s) == 0 || g.Degree(t) == 0) continue;
     queries.emplace_back(s, t);
-  }
-  return queries;
-}
-
-std::vector<std::pair<VertexId, VertexId>> MakeLocalQueries(
-    const Graph& g, size_t count, size_t hops, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<VertexId, VertexId>> queries;
-  queries.reserve(count);
-  const size_t n = g.NumVertices();
-  std::vector<uint32_t> visited(n, 0);
-  uint32_t epoch = 0;
-  while (queries.size() < count) {
-    VertexId s = static_cast<VertexId>(rng.NextBounded(n));
-    if (g.Degree(s) == 0) continue;
-    // BFS out `hops` levels, pick a random vertex from the frontier.
-    ++epoch;
-    std::deque<std::pair<VertexId, size_t>> queue = {{s, 0}};
-    visited[s] = epoch;
-    std::vector<VertexId> frontier;
-    while (!queue.empty()) {
-      auto [u, depth] = queue.front();
-      queue.pop_front();
-      if (depth == hops) {
-        frontier.push_back(u);
-        continue;
-      }
-      for (const Arc& a : g.Neighbors(u)) {
-        if (visited[a.to] != epoch) {
-          visited[a.to] = epoch;
-          queue.emplace_back(a.to, depth + 1);
-        }
-      }
-    }
-    if (frontier.empty()) continue;
-    VertexId t = frontier[rng.NextBounded(frontier.size())];
-    if (t != s) queries.emplace_back(s, t);
   }
   return queries;
 }

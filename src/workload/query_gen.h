@@ -16,11 +16,6 @@ namespace kspdg {
 std::vector<std::pair<VertexId, VertexId>> MakeRandomQueries(
     const Graph& g, size_t count, uint64_t seed);
 
-/// Generates queries whose endpoints are roughly `hops` grid steps apart
-/// (locality-controlled workloads; navigation queries are usually local).
-std::vector<std::pair<VertexId, VertexId>> MakeLocalQueries(
-    const Graph& g, size_t count, size_t hops, uint64_t seed);
-
 }  // namespace kspdg
 
 #endif  // KSPDG_WORKLOAD_QUERY_GEN_H_

@@ -285,8 +285,7 @@ TEST(RoutingServiceTest, ResponsesAreSortedSimpleValidPaths) {
 class NullSolver : public KspSolver {
  public:
   std::string_view name() const override { return "null"; }
-  Result<KspQueryResult> Solve(const SolverInput&,
-                               SolverScratch*) const override {
+  Result<KspQueryResult> Solve(const SolverInput&) const override {
     return KspQueryResult{};
   }
 };
@@ -418,6 +417,84 @@ TEST(RoutingServiceTest, ConcurrentQueriesAndUpdatesSeeConsistentEpochs) {
   EXPECT_EQ(snapshot.CounterTotal("traffic_batches_total"), kBatches);
   EXPECT_EQ(snapshot.CounterTotal("weight_updates_total"),
             kBatches * num_edges);
+}
+
+// A subgraph with at most one boundary vertex has no boundary pair, so
+// neither Build nor Refresh computes a pair bound for it; its unit-weight
+// pool is read only by queries with an endpoint inside it. Concurrent such
+// queries must share a pool that was rebuilt on the write side — right after
+// Create, and again after a traffic batch that touches the subgraph — and
+// answer exactly as a sequential run on a twin service does.
+TEST(RoutingServiceTest, ConcurrentQueriesInsideABoundaryPairlessSubgraph) {
+  auto make = [] {
+    return MustCreate(MakeRandomConnected(30, 20, 1, 9, 10), /*z=*/8);
+  };
+  std::unique_ptr<RoutingService> service = make();
+  std::unique_ptr<RoutingService> twin = make();
+  ASSERT_TRUE(service != nullptr && twin != nullptr);
+  const Partition& partition = service->dtlp().partition();
+  const Subgraph* pairless = nullptr;
+  VertexId source = kInvalidVertex;
+  for (const Subgraph& sg : partition.subgraphs) {
+    if (sg.boundary_local().size() > 1 || sg.NumEdges() == 0) continue;
+    for (VertexId local = 0; local < sg.NumVertices(); ++local) {
+      if (partition.is_boundary[sg.GlobalOf(local)] == 0) {
+        pairless = &sg;
+        source = sg.GlobalOf(local);
+        break;
+      }
+    }
+    if (pairless != nullptr) break;
+  }
+  ASSERT_NE(pairless, nullptr) << "graph lost its pairless subgraph";
+
+  // Targets outside the subgraph, so every answer leaves through its
+  // boundary vertex and every query reads the subgraph's pool. Targets with
+  // fewer than k simple paths are left out: KSP-DG spends its whole
+  // iteration cap on them.
+  std::vector<VertexId> targets;
+  for (VertexId t = 0; t < service->graph().NumVertices(); ++t) {
+    if (!pairless->ContainsGlobal(t) &&
+        MustSolve(*twin, source, t, kBackendYen, 4).size() == 4) {
+      targets.push_back(t);
+    }
+  }
+  ASSERT_FALSE(targets.empty());
+  auto run = [&](const RoutingService& on, std::vector<RouteResponse>* out) {
+    for (VertexId t : targets) {
+      Result<RouteResponse> response =
+          on.Query(MakeRequest(source, t, kBackendKspDg, 4));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      out->push_back(std::move(response).value());
+    }
+  };
+  auto check_round = [&](const std::string& label) {
+    std::vector<RouteResponse> want;
+    run(*twin, &want);
+    std::vector<RouteResponse> got[2];
+    std::thread other([&] { run(*service, &got[1]); });
+    run(*service, &got[0]);
+    other.join();
+    for (const std::vector<RouteResponse>& answers : got) {
+      ASSERT_EQ(answers.size(), want.size()) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(answers[i].paths.size(), want[i].paths.size()) << label;
+        for (size_t r = 0; r < want[i].paths.size(); ++r) {
+          EXPECT_EQ(answers[i].paths[r].vertices, want[i].paths[r].vertices)
+              << label << " query " << i << " rank " << r;
+          EXPECT_DOUBLE_EQ(answers[i].paths[r].distance,
+                           want[i].paths[r].distance)
+              << label << " query " << i << " rank " << r;
+        }
+      }
+    }
+  };
+  check_round("after Create");
+  const std::vector<WeightUpdate> batch = {
+      {pairless->GlobalEdgeOf(0), 4.0, 4.0}};
+  ASSERT_TRUE(service->ApplyTrafficBatch(batch).ok());
+  ASSERT_TRUE(twin->ApplyTrafficBatch(batch).ok());
+  check_round("after a batch inside the subgraph");
 }
 
 // ---------------------------------------------------------------------------

@@ -114,11 +114,6 @@ TEST(GraphTest, ConnectivityDetection) {
   EXPECT_TRUE(g.IsConnected());
 }
 
-TEST(GraphTest, MemoryBytesPositive) {
-  Graph g = MakeRandomConnected(50, 30, 1, 9, 3);
-  EXPECT_GT(g.MemoryBytes(), 50 * sizeof(VertexId));
-}
-
 TEST(DimacsIoTest, RoundTrip) {
   Graph g = MakeRandomConnected(20, 15, 1, 9, 7);
   std::stringstream ss;

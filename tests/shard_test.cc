@@ -286,8 +286,7 @@ TEST(ShardedRoutingServiceTest, CustomSolversPlugIntoShardedService) {
   class EmptySolver : public KspSolver {
    public:
     std::string_view name() const override { return "empty"; }
-    Result<KspQueryResult> Solve(const SolverInput&,
-                                 SolverScratch*) const override {
+    Result<KspQueryResult> Solve(const SolverInput&) const override {
       return KspQueryResult{};
     }
   };
@@ -305,8 +304,7 @@ TEST(ShardedRoutingServiceTest, CustomSolversPlugIntoShardedService) {
   class LateSolver : public KspSolver {
    public:
     std::string_view name() const override { return "late"; }
-    Result<KspQueryResult> Solve(const SolverInput&,
-                                 SolverScratch*) const override {
+    Result<KspQueryResult> Solve(const SolverInput&) const override {
       return KspQueryResult{};
     }
   };

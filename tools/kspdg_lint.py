@@ -14,7 +14,7 @@ check on its own:
                  std::shared_mutex, std::condition_variable or std::thread
                  directly: first-party code goes through the annotated
                  core wrappers (core/mutex.h, core/epoch_lock.h,
-                 core/thread_pool.h) so thread-safety analysis and the
+                 core/parallel_for.h) so thread-safety analysis and the
                  runtime lock-order checker see every acquisition.
 
   wire-symmetry  Every message struct in src/rpc/wire.cc encodes and
@@ -124,7 +124,7 @@ def check_raw_primitives(root, findings):
                     lineno,
                     rule,
                     f"std::{kind} outside src/core/ — use the annotated "
-                    "core wrappers (core/mutex.h, core/thread_pool.h)",
+                    "core wrappers (core/mutex.h, core/parallel_for.h)",
                 )
 
 
